@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fastq -run '^$$' -fuzz '^FuzzFastqParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzMyersVsDP$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/edit -run '^$$' -fuzz '^FuzzBandVsDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzSigDistance$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recon -run '^$$' -fuzz '^FuzzReconDispatch$$' -fuzztime $(FUZZTIME)
 

@@ -135,7 +135,7 @@ type Stats struct {
 	Rounds            int
 	EditDistanceCalls int
 	Merges            int
-	CheapMerges       int // merges decided by signature distance alone
+	CheapMerges       int // applied merges decided by signature distance alone (a subset of Merges)
 	SignatureTime     time.Duration
 	ClusterTime       time.Duration // total minus signature computation
 	ThetaLow          int
@@ -255,14 +255,14 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 		thetaLow, thetaHigh, _ = autoThresholds(ctx, reads, cfgGrams, xrand.Derive(o.Seed, 0xc0f2), o.Workers)
 	}
 	stats.ThetaLow, stats.ThetaHigh = thetaLow, thetaHigh
-	if o.EditThreshold == 0 {
-		o.EditThreshold = autoEditThreshold(reads, readLen, xrand.Derive(o.Seed, 0xc0f3))
-	}
 
-	// Per-worker edit-distance scratch, reused across all rounds and sweep
-	// passes. Worker w is the only goroutine touching slot w (see
-	// exec.ParallelForW), so no locking is needed.
+	// Per-worker edit-distance scratch, reused by calibration, all rounds
+	// and the sweep passes. Worker w is the only goroutine touching slot w
+	// (see exec.ParallelForW), so no locking is needed.
 	editScr := make([]edit.Scratch, o.Workers)
+	if o.EditThreshold == 0 {
+		o.EditThreshold = autoEditThreshold(ctx, reads, readLen, xrand.Derive(o.Seed, 0xc0f3), editScr)
+	}
 	useRef := o.useReference()
 	var rr *roundRunner
 	var sigScr []sigScratch

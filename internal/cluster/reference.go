@@ -92,10 +92,12 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	type proposal struct{ a, b int }
+	type proposal struct {
+		a, b  int
+		cheap bool // decided by signature distance alone
+	}
 	proposalsPer := make([][]proposal, len(keys))
 	editCalls := make([]int, len(keys))
-	cheap := make([]int, len(keys))
 	exec.ParallelForW(ctx, o.Workers, len(keys), func(w, ki int) {
 		key := keys[ki]
 		group := partitions[key]
@@ -119,13 +121,12 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 					continue
 				}
 				if d <= thetaLow {
-					proposalsPer[ki] = append(proposalsPer[ki], proposal{a, b})
-					cheap[ki]++
+					proposalsPer[ki] = append(proposalsPer[ki], proposal{a, b, true})
 					continue
 				}
 				editCalls[ki]++
 				if _, ok := editScr[w].Within(reads[reps[a]], reads[reps[b]], o.EditThreshold); ok {
-					proposalsPer[ki] = append(proposalsPer[ki], proposal{a, b})
+					proposalsPer[ki] = append(proposalsPer[ki], proposal{a, b, false})
 				}
 			}
 		}
@@ -138,9 +139,11 @@ func referenceRound(ctx context.Context, reads []dna.Seq, uf *unionFind, rng *xr
 		for _, p := range proposalsPer[ki] {
 			if uf.union(p.a, p.b) {
 				stats.Merges++
+				if p.cheap {
+					stats.CheapMerges++
+				}
 			}
 		}
-		stats.CheapMerges += cheap[ki]
 	}
 	stats.ClusterTime += time.Since(partStart)
 	return len(roots)
@@ -202,6 +205,9 @@ func stragglerSweep(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 	small := sorted[len(sorted)/2] * 2 / 3
 	if small < 2 {
 		small = 2
+	}
+	if sorted[0] > small {
+		return 0, len(roots) // no stragglers: no edit call, no merge
 	}
 	// The sweep ranks every cluster, so its signature needs to be far more
 	// discriminative than the per-round ones: use triple the grams (the

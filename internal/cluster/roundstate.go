@@ -150,8 +150,13 @@ func (g *gramSetScratch) fill(rng *xrand.RNG, mode SignatureMode, count, q int) 
 	g.idx.build(g.set)
 }
 
-// pairProposal is one proposed merge between two cluster roots (read ids).
-type pairProposal struct{ a, b int32 }
+// pairProposal is one proposed merge between two cluster roots (read ids);
+// cheap marks a merge decided by signature distance alone, counted into
+// Stats.CheapMerges only if the union is actually applied.
+type pairProposal struct {
+	a, b  int32
+	cheap bool
+}
 
 // anchorIndex is dna.Seq.Index specialized for the short per-round anchor:
 // one rolling 2-bit comparison per base instead of the general nested scan.
@@ -240,7 +245,6 @@ type roundRunner struct {
 	propStart []int32
 	propCount []int32
 	editCalls []int32
-	cheapN    []int32
 
 	// Dispatch closures, created once so steady-state rounds do not
 	// allocate them per ParallelForW call.
@@ -408,11 +412,9 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	rr.propStart = ensureInt32(&rr.propStart, ngroups)
 	rr.propCount = ensureInt32(&rr.propCount, ngroups)
 	rr.editCalls = ensureInt32(&rr.editCalls, ngroups)
-	rr.cheapN = ensureInt32(&rr.cheapN, ngroups)
 	for gi := 0; gi < ngroups; gi++ {
 		rr.propCount[gi] = -1
 		rr.editCalls[gi] = 0
-		rr.cheapN[gi] = 0
 	}
 	aw := o.Workers
 	if aw > ngroups {
@@ -437,10 +439,12 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 			for _, p := range rr.wprops[w][rr.propStart[gi] : rr.propStart[gi]+c] {
 				if rr.uf.union(int(p.a), int(p.b)) {
 					rr.stats.Merges++
+					if p.cheap {
+						rr.stats.CheapMerges++
+					}
 				}
 			}
 		}
-		rr.stats.CheapMerges += int(rr.cheapN[gi])
 	}
 	rr.stats.ClusterTime += time.Since(partStart)
 }
@@ -488,7 +492,7 @@ func (rr *roundRunner) groupItem(w, gi int) {
 		// the consumed stream bit-identical.
 		prng.ReseedDerive(o.Seed, packedKeyHash(group[0].key)^uint64(rr.round))
 	}
-	editCalls, cheap := int32(0), int32(0)
+	editCalls := int32(0)
 	for ai := 0; ai < len(group); ai++ {
 		for bi := ai + 1; bi < len(group); bi++ {
 			if stride > 1 && prng.Intn(stride) != 0 {
@@ -510,19 +514,17 @@ func (rr *roundRunner) groupItem(w, gi int) {
 			}
 			ra, rb := rr.roots[a], rr.roots[b]
 			if d <= rr.thetaLow {
-				buf = append(buf, pairProposal{ra, rb})
-				cheap++
+				buf = append(buf, pairProposal{ra, rb, true})
 				continue
 			}
 			editCalls++
 			if _, ok := rr.editScr[w].Within(rr.reads[rr.reps[a]], rr.reads[rr.reps[b]], o.EditThreshold); ok {
-				buf = append(buf, pairProposal{ra, rb})
+				buf = append(buf, pairProposal{ra, rb, false})
 			}
 		}
 	}
 	rr.wprops[w] = buf
 	rr.editCalls[gi] = editCalls
-	rr.cheapN[gi] = cheap
 	rr.propCount[gi] = int32(len(buf)) - rr.propStart[gi]
 }
 

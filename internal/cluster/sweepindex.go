@@ -135,6 +135,9 @@ func (rr *roundRunner) runSweepPass(pass uint64) int {
 		small = 2
 	}
 	sw.small = small
+	if sorted[0] > small {
+		return 0 // no stragglers: no edit call, no merge
+	}
 
 	// Sweep grams: triple the per-round count, fresh per pass, drawn from
 	// the same derived stream as the reference.

@@ -54,10 +54,14 @@ func calibPresenceOf(read dna.Seq, pb *calibPresence) int {
 // between the nearest-neighbour mode (same-strand pairs) and the median
 // (different-strand pairs). A fixed fraction of the read length is unsafe:
 // for short strands the two distributions sit close together, and for long
-// ones it wastes the available gap.
-func autoEditThreshold(reads []dna.Seq, readLen int, rng *xrand.RNG) int {
-	return autoEditThresholdOpt(reads, readLen, rng, true)
+// ones it wastes the available gap. es holds one edit scratch per worker.
+func autoEditThreshold(ctx context.Context, reads []dna.Seq, readLen int, rng *xrand.RNG, es []edit.Scratch) int {
+	return autoEditThresholdOpt(ctx, reads, readLen, rng, es, true)
 }
+
+// calibPhase1Pairs is the number of sample partners each probe is compared
+// against for the different-strand median.
+const calibPhase1Pairs = 40
 
 // autoEditThresholdOpt is autoEditThreshold with the q-gram counting filter
 // switchable. filtered=false is the reference: phase 2 scans every pair with
@@ -72,7 +76,14 @@ func autoEditThreshold(reads []dna.Seq, readLen int, rng *xrand.RNG) int {
 // screened search resolves the reference scan's exact value.
 // TestAutoEditThresholdFilterIdentity pins the two variants equal;
 // TestCalibFilterSoundness checks the lemma directly.
-func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered bool) int {
+//
+// Both phases run in parallel over probes, worker w using es[w]. Every
+// probe's values depend only on the probe and the sample, and each phase's
+// values are sorted before use, so the threshold is the same at every
+// worker count (pinned by TestAutoEditThresholdWorkerIdentity). A probe item
+// that panics or is cancelled leaves its -1 "no evidence" entries behind;
+// the caller re-checks ctx before using the result.
+func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, readLen int, rng *xrand.RNG, es []edit.Scratch, filtered bool) int {
 	bound := readLen * 3 / 5
 	if bound < 4 {
 		bound = 4
@@ -90,26 +101,30 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 	perm := rng.Perm(len(reads))
 	probes := perm[:nProbe]
 	sample := perm[len(perm)-nSample:]
-
-	// Calibration is serial, so one scratch serves every comparison.
-	var es edit.Scratch
+	workers := len(es)
 
 	// Phase 1: the different-strand distance median needs only a modest
 	// number of pairs.
-	var all []int
-	for i, pi := range probes {
-		for k := 0; k < 40 && k < len(sample); k++ {
+	pairs := min(calibPhase1Pairs, len(sample))
+	dists := make([]int, nProbe*pairs)
+	for i := range dists {
+		dists[i] = -1
+	}
+	exec.ParallelForW(ctx, workers, nProbe, func(w, i int) {
+		pi := probes[i]
+		for k := 0; k < pairs; k++ {
 			sj := sample[(i*41+k*53)%len(sample)]
 			if pi == sj {
 				continue
 			}
-			d, ok := es.Within(reads[pi], reads[sj], bound)
+			d, ok := es[w].Within(reads[pi], reads[sj], bound)
 			if !ok {
 				d = bound
 			}
-			all = append(all, d)
+			dists[i*pairs+k] = d
 		}
-	}
+	})
+	all := dropMissing(dists)
 	if len(all) == 0 {
 		return readLen / 4
 	}
@@ -123,21 +138,29 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 	var sampleBits []calibPresence
 	if filtered {
 		sampleBits = make([]calibPresence, nSample)
-		for j, sj := range sample {
-			calibPresenceOf(reads[sj], &sampleBits[j])
-		}
+		exec.ParallelForW(ctx, workers, nSample, func(_, j int) {
+			calibPresenceOf(reads[sample[j]], &sampleBits[j])
+		})
 	}
-	var pb calibPresence
-	var nearest []int
-	for _, pi := range probes {
+	pbs := make([]calibPresence, workers)
+	nearest := make([]int, nProbe)
+	for i := range nearest {
+		nearest[i] = -1
+	}
+	exec.ParallelForW(ctx, workers, nProbe, func(w, i int) {
+		pi := probes[i]
 		nn, done := 0, false
 		if filtered && median > 2 {
-			nn, done = calibNearestScreened(reads, pi, sample, sampleBits, median, &pb, &es)
+			nn, done = calibNearestScreened(reads, pi, sample, sampleBits, median, &pbs[w], &es[w])
 		}
 		if !done {
-			nn = calibNearestScan(reads, pi, sample, median, &es)
+			nn = calibNearestScan(reads, pi, sample, median, &es[w])
 		}
-		nearest = append(nearest, nn)
+		nearest[i] = nn
+	})
+	nearest = dropMissing(nearest)
+	if len(nearest) == 0 {
+		return maxInt(4, median/2)
 	}
 	sort.Ints(nearest)
 	// The same-strand mode: the lower quartile of nearest-neighbour
@@ -150,6 +173,17 @@ func autoEditThresholdOpt(reads []dna.Seq, readLen int, rng *xrand.RNG, filtered
 		return maxInt(4, median/2)
 	}
 	return maxInt(4, (nnLow+median)/2)
+}
+
+// dropMissing filters the -1 "no evidence" entries out of vals in place.
+func dropMissing(vals []int) []int {
+	out := vals[:0]
+	for _, v := range vals {
+		if v >= 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // calibScreenBand is the edit band the screened nearest-neighbour search
@@ -487,5 +521,5 @@ func AutoEditThresholdForTest(reads []dna.Seq, seed uint64) int {
 			readLen = len(r)
 		}
 	}
-	return autoEditThreshold(reads, readLen, xrand.Derive(seed, 0xc0f3))
+	return autoEditThreshold(context.Background(), reads, readLen, xrand.Derive(seed, 0xc0f3), make([]edit.Scratch, 1))
 }

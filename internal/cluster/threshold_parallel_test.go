@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"dnastore/internal/edit"
 	"dnastore/internal/xrand"
 )
 
@@ -47,5 +48,24 @@ func TestAutoThresholdsWrapperMatchesParallel(t *testing.T) {
 	bLow, bHigh, _ := autoThresholds(context.Background(), reads, grams, xrand.New(31), 4)
 	if aLow != bLow || aHigh != bHigh {
 		t.Fatalf("wrapper (%d,%d) vs parallel (%d,%d)", aLow, aHigh, bLow, bHigh)
+	}
+}
+
+// TestAutoEditThresholdWorkerIdentity pins the parallel edit-threshold
+// calibration: both phases' values are sorted before use, so the threshold
+// is the same at every worker count, with and without the q-gram screen.
+func TestAutoEditThresholdWorkerIdentity(t *testing.T) {
+	reads, _ := makePool(33, 150, 128, 10, 0.06)
+	for _, filtered := range []bool{true, false} {
+		want := -1
+		for _, workers := range []int{1, 2, 4} {
+			es := make([]edit.Scratch, workers)
+			got := autoEditThresholdOpt(context.Background(), reads, 128, xrand.Derive(35, 0xc0f3), es, filtered)
+			if want < 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("filtered=%v workers %d: threshold %d, workers 1 gave %d", filtered, workers, got, want)
+			}
+		}
 	}
 }

@@ -14,11 +14,14 @@
 //
 // Two kernel families implement the distance: the classic DP (LevenshteinDP,
 // WithinDP — the reference implementation) and the bit-parallel Myers
-// kernels in myers.go (LevenshteinBP, WithinBP — 64 DP cells per machine
-// word). Levenshtein and Within are dispatchers that pick whichever is
-// profitable for the input shape; both families return identical distances
-// and verdicts on every input (proved by the parity tests and the
-// FuzzMyersVsDP differential fuzzer).
+// kernels in myers.go (LevenshteinBP and WithinBP over whole columns, 64 DP
+// cells per machine word; WithinBand over the Ukkonen band only, in one
+// word). Levenshtein and Within are dispatchers. Within sends every
+// threshold k ≤ 63 to WithinBand, whose band then fits one word, and larger
+// thresholds to WithinBP or WithinDP by input shape; Levenshtein picks
+// between LevenshteinBP and LevenshteinDP. Every kernel returns identical
+// distances and verdicts on every input (proved by the parity tests and the
+// FuzzMyersVsDP and FuzzBandVsDP differential fuzzers).
 package edit
 
 import "dnastore/internal/dna"
@@ -39,6 +42,8 @@ type Scratch struct {
 	// VP/VN block vectors of the blocked Myers kernel.
 	peq      [dna.NumBases][]uint64
 	bvp, bvn []uint64
+	// Flat zero-padded per-base match masks of the band kernel.
+	bpeq []uint64
 }
 
 // rows returns two int slices of length n backed by the scratch, zeroing
@@ -126,12 +131,16 @@ func Within(a, b dna.Seq, k int) (int, bool) {
 }
 
 // Within is the scratch-reusing form of the package-level Within; results
-// are bit-identical. It dispatches between the banded DP (narrow bands,
-// tiny inputs) and the thresholded bit-parallel kernel (everything else);
-// the two return identical distances and verdicts on every input.
+// are bit-identical. Thresholds up to 63 go to the one-word band kernel;
+// above that it dispatches between the banded DP (narrow bands, tiny
+// inputs) and the thresholded bit-parallel kernel (everything else). All
+// return identical distances and verdicts on every input.
 //
 //dnalint:hotpath
 func (s *Scratch) Within(a, b dna.Seq, k int) (int, bool) {
+	if k <= bandMaxK {
+		return s.WithinBand(a, b, k)
+	}
 	if bpWithinProfitable(len(a), len(b), k) {
 		return s.WithinBP(a, b, k)
 	}
@@ -139,9 +148,9 @@ func (s *Scratch) Within(a, b dna.Seq, k int) (int, bool) {
 }
 
 // WithinDP is the reference banded (Ukkonen) threshold check, O(k·min(len))
-// time. The dispatcher uses it when the band is only a few cells per
-// bit-parallel word-step; parity tests and the differential fuzzer hold
-// WithinBP to it.
+// time. Above the band kernel's k ≤ 63 the dispatcher uses it when the band
+// is only a few cells per bit-parallel word-step; parity tests and the
+// differential fuzzers hold WithinBP and WithinBand to it.
 //
 //dnalint:hotpath
 func (s *Scratch) WithinDP(a, b dna.Seq, k int) (int, bool) {

@@ -1,6 +1,7 @@
 package edit
 
 import (
+	"bytes"
 	"testing"
 
 	"dnastore/internal/dna"
@@ -114,6 +115,54 @@ func FuzzMyersVsDP(f *testing.F) {
 		}
 		if gd, gok := s.Within(a, b, k); gd != wd || gok != wok {
 			t.Fatalf("Within dispatcher(k=%d) = (%d,%v), DP = (%d,%v)", k, gd, gok, wd, wok)
+		}
+	})
+}
+
+// FuzzBandVsDP is the differential fuzzer for the one-word band kernel:
+// WithinBand and the Within dispatcher must return exactly WithinDP's
+// (distance, verdict) in both argument orders. k runs over 0..70, across
+// the 63/64 limit where Within leaves the band kernel, and sequences run to
+// 300 bases, past three words of pattern.
+func FuzzBandVsDP(f *testing.F) {
+	long := bytes.Repeat([]byte("GATTACA"), 30) // 210 bases
+	f.Add([]byte{}, []byte{}, byte(0))
+	f.Add([]byte{}, []byte("ACG"), byte(3))
+	f.Add([]byte("ACGT"), []byte{}, byte(3))
+	f.Add([]byte("ACGTACGT"), []byte("ACGTACGTTTT"), byte(3)) // |Δ| = k
+	f.Add([]byte("ACGTACGT"), []byte("ACGTACGTTTT"), byte(2)) // |Δ| = k+1
+	f.Add(long, long[7:], byte(7))
+	f.Add(long, long[8:], byte(7))
+	f.Add(long, append(append([]byte(nil), long[:100]...), long[101:]...), byte(63))
+	f.Add(long, []byte("TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT"), byte(64))
+	f.Add(long[:128], long[3:131], byte(35))
+	f.Add(long[:128], long[3:131], byte(70))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, kb byte) {
+		if len(rawA) > 300 {
+			rawA = rawA[:300]
+		}
+		if len(rawB) > 300 {
+			rawB = rawB[:300]
+		}
+		a, b := make(dna.Seq, len(rawA)), make(dna.Seq, len(rawB))
+		for i, c := range rawA {
+			a[i] = dna.Base(c % dna.NumBases)
+		}
+		for i, c := range rawB {
+			b[i] = dna.Base(c % dna.NumBases)
+		}
+		k := int(kb) % 71
+		var s Scratch
+		for _, p := range [2][2]dna.Seq{{a, b}, {b, a}} {
+			wd, wok := s.WithinDP(p[0], p[1], k)
+			if gd, gok := s.WithinBand(p[0], p[1], k); gd != wd || gok != wok {
+				t.Fatalf("WithinBand(k=%d) = (%d,%v), DP = (%d,%v) (lens %d,%d)",
+					k, gd, gok, wd, wok, len(p[0]), len(p[1]))
+			}
+			if gd, gok := s.Within(p[0], p[1], k); gd != wd || gok != wok {
+				t.Fatalf("Within(k=%d) = (%d,%v), DP = (%d,%v) (lens %d,%d)",
+					k, gd, gok, wd, wok, len(p[0]), len(p[1]))
+			}
 		}
 	})
 }

@@ -6,22 +6,31 @@
 // DNA alphabet the only per-pattern state is a tiny Peq table: one bitmask
 // per base marking the pattern positions holding that base.
 //
-// Three kernels share the recurrence. For patterns of at most 64 bases the
-// whole column fits in one word (myers64); patterns of 65–128 bases get a
-// fully unrolled two-word specialization whose Peq table and block vectors
-// live in registers and on the stack (myers128 — the common case for
-// sequencing-length reads); anything longer is split into ⌈m/64⌉ block
-// words with the ±1 horizontal delta carried from block to block
-// Hyyrö-style (myersBlocked), the block vectors living in the Scratch so
-// steady-state calls allocate nothing. All kernels track the running
-// bottom-row score D(m,j); the thresholded form bails as soon as
-// score − (columns remaining) exceeds k, which is sound because the bottom
-// row of the DP changes by at most ±1 per column.
+// Four kernels share the recurrence. Three compute whole columns: for
+// patterns of at most 64 bases the column fits in one word (myers64);
+// patterns of 65–128 bases get a fully unrolled two-word specialization
+// whose Peq table and block vectors live in registers and on the stack
+// (myers128); anything longer is split into ⌈m/64⌉ block words with the ±1
+// horizontal delta carried from block to block Hyyrö-style (myersBlocked),
+// the block vectors living in the Scratch so steady-state calls allocate
+// nothing. These track the running bottom-row score D(m,j), and the
+// thresholded form bails as soon as score − (columns remaining) exceeds k,
+// which is sound because the bottom row changes by at most ±1 per column.
 //
-// The DP kernels in edit.go remain the reference implementation; the
-// dispatchers in Levenshtein/Within pick bit-parallel when profitable (see
-// bpWithinProfitable) and internal/bench proves the two families return
-// identical distances and verdicts.
+// The fourth (myersBand) computes only the Ukkonen band of a threshold
+// check: the at most k+1 diagonals an alignment of cost ≤ k can visit, held
+// in one word that slides down one row per text column, for any pattern
+// length. It tracks the score on the goal diagonal, which never decreases,
+// and bails as soon as it exceeds k — at 6 % error on 128-nt reads about
+// half-way through the text for unrelated pairs, where the bottom-row bound
+// waits until three quarters.
+//
+// Dispatch (Within): every threshold check with k ≤ 63 runs the band
+// kernel; larger thresholds use the banded DP or the column kernels (see
+// bpWithinProfitable). The DP kernels in edit.go remain the reference
+// implementation; every kernel returns identical distances and verdicts,
+// held to the DP by the parity tests and the FuzzMyersVsDP and FuzzBandVsDP
+// differential fuzzers, and internal/bench times WithinBP against WithinDP.
 package edit
 
 import "dnastore/internal/dna"
@@ -317,6 +326,155 @@ func (s *Scratch) myersBlocked(pattern, text dna.Seq, k int) (int, bool) {
 	}
 	if k >= 0 && score > k {
 		return 0, false
+	}
+	return score, true
+}
+
+// bandMaxK is the largest threshold whose Ukkonen band fits one word: the
+// band holds at most k+1 diagonals, so k ≤ 63 keeps it within 64 bits.
+const bandMaxK = wordBits - 1
+
+// bandPad is the zero padding, in bits, on each side of the band kernel's
+// pattern masks: the 64-bit match window starts up to 63 rows above row 1
+// and ends up to 63 rows below row m, and those rows never match.
+const bandPad = wordBits
+
+// bandMasks fills the scratch's flat per-base match masks for the band
+// kernel and returns them with their per-base stride in words. Base c's
+// mask occupies masks[c*stride:(c+1)*stride]; bit bandPad+i is set when
+// pattern[i] holds c, and every padding bit is zero. The padding is one
+// whole word, so word q ≥ 1 holds pattern[(q−1)·64 : q·64], and one spare
+// word past the pattern lets the kernel read any 64-bit window as two words.
+func (s *Scratch) bandMasks(pattern dna.Seq) (masks []uint64, stride int) {
+	stride = (len(pattern)+2*bandPad)/wordBits + 1
+	n := dna.NumBases * stride
+	if cap(s.bpeq) < n {
+		s.bpeq = make([]uint64, n)
+	}
+	masks = s.bpeq[:n]
+	for q := 0; q < stride; q++ {
+		var lo, hi, valid uint64
+		if start := (q - 1) * wordBits; start >= 0 && start < len(pattern) {
+			lo, hi, valid = basePlanes(pattern[start:min(start+wordBits, len(pattern))])
+		}
+		masks[q] = valid &^ (lo | hi)
+		masks[stride+q] = lo &^ hi
+		masks[2*stride+q] = hi &^ lo
+		masks[3*stride+q] = lo & hi
+	}
+	return masks, stride
+}
+
+// basePlanes packs up to 64 bases into two bit planes: bit i of lo and hi
+// are bits 0 and 1 of chunk[i] (the base code c&3), and valid has one bit
+// per base. Eight bases at a time are gathered with one multiply per plane:
+// with one bit at the bottom of each byte, the product by gatherMul lands
+// byte i's bit at position 56+i and no two partial products collide.
+func basePlanes(chunk dna.Seq) (lo, hi, valid uint64) {
+	const lowBits = 0x0101010101010101
+	const gatherMul = 0x0102040810204080
+	i := 0
+	for ; i+8 <= len(chunk); i += 8 {
+		g := chunk[i : i+8 : i+8]
+		x := uint64(g[0]) | uint64(g[1])<<8 | uint64(g[2])<<16 | uint64(g[3])<<24 |
+			uint64(g[4])<<32 | uint64(g[5])<<40 | uint64(g[6])<<48 | uint64(g[7])<<56
+		lo |= ((x & lowBits) * gatherMul >> 56) << uint(i)
+		hi |= ((x >> 1 & lowBits) * gatherMul >> 56) << uint(i)
+	}
+	for ; i < len(chunk); i++ {
+		lo |= uint64(chunk[i]&1) << uint(i)
+		hi |= uint64(chunk[i]>>1&1) << uint(i)
+	}
+	valid = ^uint64(0) >> uint(wordBits-len(chunk))
+	return lo, hi, valid
+}
+
+// WithinBand is the one-word Ukkonen-band kernel behind Within for k ≤ 63;
+// results are identical to WithinDP on every input. Thresholds whose band
+// does not fit one word go to WithinBP.
+//
+//dnalint:hotpath
+func (s *Scratch) WithinBand(a, b dna.Seq, k int) (int, bool) {
+	if k < 0 {
+		return 0, false
+	}
+	la, lb := len(a), len(b)
+	if la-lb > k || lb-la > k {
+		return 0, false
+	}
+	if la == 0 {
+		return lb, lb <= k
+	}
+	if lb == 0 {
+		return la, la <= k
+	}
+	if k > bandMaxK {
+		return s.WithinBP(a, b, k)
+	}
+	if la > lb {
+		a, b = b, a
+	}
+	return s.myersBand(a, b, k)
+}
+
+// myersBand runs Myers' recurrence over the Ukkonen band only: the k+1 (at
+// most) diagonals δ = j − i with |δ| + |Δ−δ| ≤ k, Δ = len(text) −
+// len(pattern) ≥ 0, the only diagonals an alignment of cost ≤ k can visit.
+// Bit b of the word is diagonal hi − b, so in text column j it holds row
+// j − hi + b and the word slides down one row per column: the previous
+// column's vertical deltas are shifted right one bit to line up with the new
+// rows, and the pattern's match masks are read as a 64-bit window.
+//
+// Cells outside the band are virtual and only ever overestimate. The row
+// entering at the bottom carries a +1 vertical delta, and the row above the
+// top carries a +1 horizontal delta, as in the plain kernels. Rows above
+// row 0 are seeded with D(−r, j) = j + r, which the recurrence reproduces
+// column after column, so the top of the matrix needs no special case. Every
+// computed cell is therefore the cost of a real alignment, and every cell on
+// an optimal path of cost ≤ k is exact.
+//
+// The score tracked is D(j − Δ, j) on the goal diagonal, which starts at
+// |Δ| in column 0 and grows by 1 − D0 per column. It never decreases, so
+// the kernel stops as soon as it exceeds k: the final distance is at least
+// the computed score, and the computed score is exact whenever it is ≤ k.
+// Requires 1 ≤ len(pattern) ≤ len(text) and len(text) − len(pattern) ≤ k ≤
+// bandMaxK.
+//
+//dnalint:hotpath
+func (s *Scratch) myersBand(pattern, text dna.Seq, k int) (int, bool) {
+	delta := len(text) - len(pattern)
+	e := (k - delta) / 2
+	hi := delta + e            // top diagonal (bit 0)
+	w := uint(delta + 2*e + 1) // band width, ≤ k+1 ≤ 64
+	goal := uint(e)            // bit of the goal diagonal Δ (= hi − Δ)
+	bottom := uint64(1) << (w - 1)
+	keep := bottom - 1 // bits above the band's bottom row
+	masks, stride := s.bandMasks(pattern)
+	// Column 0: rows b − hi ≤ 0 (bits 0..hi) are row 0 and the virtual rows
+	// above it, vertical delta −1; rows ≥ 1 have vertical delta +1.
+	vn := uint64(1)<<uint(hi+1) - 1
+	vp := ^vn
+	score := delta
+	// Bit 0 of column j+1's match window is pattern position j − hi, stored
+	// at bit j − hi + bandPad ≥ 1 of each mask.
+	off, ustride := uint(bandPad-hi), uint(stride)
+	for j, c := range text {
+		o := off + uint(j)
+		i, r := uint(c&3)*ustride+o/wordBits, o%wordBits
+		eq := masks[i]>>r | masks[i+1]<<(wordBits-r)
+		pv := vp>>1 | bottom
+		mv := vn >> 1 & keep
+		d0 := (((eq & pv) + pv) ^ pv) | eq | mv
+		hp := mv | ^(d0 | pv)
+		hn := d0 & pv
+		hp = hp<<1 | 1
+		hn <<= 1
+		vp = hn | ^(d0 | hp)
+		vn = d0 & hp
+		score += 1 - int(d0>>goal&1)
+		if score > k {
+			return 0, false
+		}
 	}
 	return score, true
 }

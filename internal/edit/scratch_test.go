@@ -79,20 +79,26 @@ func TestScratchReuseMatchesFreshCalls(t *testing.T) {
 }
 
 // TestScratchStopsAllocating pins the point of the refactor: after warmup a
-// Scratch-threaded kernel performs zero allocations per comparison.
+// Scratch-threaded kernel performs zero allocations per comparison. The
+// 128-nt reads at k = 35 are the clustering confirmation shape at 6 % error.
 func TestScratchStopsAllocating(t *testing.T) {
 	rng := xrand.New(12)
 	a := dna.Random(rng, 120)
 	b := dna.Random(rng, 120)
+	r1, r2 := dna.Random(rng, 128), dna.Random(rng, 128)
 	var s Scratch
 	s.Levenshtein(a, b) // warm the buffers
 	s.Within(a, b, 12)
+	s.Within(r1, r2, 35)
 	s.Align(a, b)
 	if n := testing.AllocsPerRun(50, func() { s.Levenshtein(a, b) }); n > 0 {
 		t.Errorf("Scratch.Levenshtein allocates %.1f/op after warmup", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { s.Within(a, b, 12) }); n > 0 {
 		t.Errorf("Scratch.Within allocates %.1f/op after warmup", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { s.Within(r1, r2, 35) }); n > 0 {
+		t.Errorf("Scratch.Within (128 nt, k = 35) allocates %.1f/op after warmup", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { s.Align(a, b) }); n > 0 {
 		t.Errorf("Scratch.Align allocates %.1f/op after warmup", n)
