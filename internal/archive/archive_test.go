@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -529,6 +530,35 @@ func TestLeaseClaimRace(t *testing.T) {
 	}
 	if won != 1 {
 		t.Fatalf("%d contenders won the claim, want exactly 1", won)
+	}
+}
+
+func TestRemoveStaleClaims(t *testing.T) {
+	// Claim files left by a killed claimant go once they are older than the
+	// staleness bound; fresh claim files and leases stay.
+	dir := t.TempDir()
+	lease := filepath.Join(dir, "vol-00000003.lease")
+	old := lease + ".claim-1"
+	fresh := lease + ".claim-2"
+	for _, p := range []string{lease, old, fresh} {
+		if err := os.WriteFile(p, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(old, past, past); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveStaleClaims(dir, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(old); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stale claim file survived: %v", err)
+	}
+	for _, p := range []string{lease, fresh} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("%s removed: %v", filepath.Base(p), err)
+		}
 	}
 }
 

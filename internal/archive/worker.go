@@ -143,6 +143,9 @@ func RunWorker(ctx context.Context, p *core.Pipeline, dir, outPath string, o Wor
 	}
 	opts := o.Stream
 	opts.VolumeBytes = m.VolumeBytes
+	if err := RemoveStaleClaims(d.StatePath(), o.StaleAfter); err != nil {
+		return res, err
+	}
 
 	out, err := os.OpenFile(outPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
