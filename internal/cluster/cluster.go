@@ -260,16 +260,27 @@ func ClusterContext(ctx context.Context, reads []dna.Seq, opts Options) (Result,
 	// and the sweep passes. Worker w is the only goroutine touching slot w
 	// (see exec.ParallelForW), so no locking is needed.
 	editScr := make([]edit.Scratch, o.Workers)
-	if o.EditThreshold == 0 {
-		o.EditThreshold = autoEditThreshold(ctx, reads, readLen, xrand.Derive(o.Seed, 0xc0f3), editScr)
-	}
+	// One 4-gram presence set per read, built once: the calibration's
+	// counting screen reads it, and on the fast path in QGram mode with
+	// 4-grams every round and sweep signature is gathered from it.
 	useRef := o.useReference()
+	gather := !useRef && o.Mode == QGram && o.GramLen == presQ
+	var pres []gramPresence
+	if gather || o.EditThreshold == 0 {
+		pres = presenceSets(ctx, reads, o.Workers)
+	}
+	if o.EditThreshold == 0 {
+		o.EditThreshold = autoEditThreshold(ctx, reads, pres, readLen, xrand.Derive(o.Seed, 0xc0f3), editScr)
+	}
+	if !gather {
+		pres = nil
+	}
 	var rr *roundRunner
 	var sigScr []sigScratch
 	if useRef {
 		sigScr = make([]sigScratch, o.Workers)
 	} else {
-		rr = newRoundRunner(ctx, reads, uf, o, thetaLow, thetaHigh, editScr, &stats)
+		rr = newRoundRunner(ctx, reads, pres, uf, o, thetaLow, thetaHigh, editScr, &stats)
 	}
 
 	rootHint := len(reads)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"runtime"
 	"sort"
@@ -22,8 +21,11 @@ import (
 // configuration path. The pools cover the 3 % point and the paper's Table
 // III point (6 % error, coverage 10, 128-nt reads), where the automatic edit
 // threshold lands inside the one-word band kernel's range and the straggler
-// sweep's passes differ. CheapMerges counts applied cheap merges, so it never
-// exceeds Merges.
+// sweep's passes differ. The sweep-scale pool (15 000 reads of 150 nt at the
+// Table III point) has ~1 500 clusters, so nr/20 exceeds SweepCandidates and
+// its ~25 stragglers per mode are ranked against the scaled limit, through
+// the exact QGram screen key and the WGram margin. CheapMerges counts applied
+// cheap merges, so it never exceeds Merges.
 func TestFastPathMatchesReference(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
 	for _, pool := range []struct {
@@ -34,6 +36,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}{
 		{"3%", 101, 150, 110, 6, 0.03},
 		{"tableIII", 113, 120, 128, 10, 0.06},
+		{"sweepScale", 129, 1500, 150, 10, 0.06},
 	} {
 		reads, _ := makePool(pool.seed, pool.strands, pool.length, pool.coverage, pool.rate)
 		for _, mode := range []SignatureMode{QGram, WGram} {
@@ -134,10 +137,10 @@ func TestReferenceFallbackConfigs(t *testing.T) {
 	}
 }
 
-// TestPackedPartitionKeys proves the two invariants the fast path's
-// partition grouping rests on: packed-key numeric order equals reference
-// string-key order, and packedKeyHash equals fnv1a of the string key (the
-// per-partition rng stream seed).
+// TestPackedPartitionKeys proves the invariants the fast path's partition
+// grouping rests on: packed-key numeric order equals reference string-key
+// order, packedKeyHash equals fnv1a of the string key (the per-partition rng
+// stream seed), and radixOrder yields the (key, root) order.
 func TestPackedPartitionKeys(t *testing.T) {
 	rng := xrand.New(42)
 	type entry struct {
@@ -176,6 +179,44 @@ func TestPackedPartitionKeys(t *testing.T) {
 			t.Fatalf("collision: %q and %q both pack to %#x", prev, e.str, e.packed)
 		}
 		byPacked[e.packed] = e.str
+	}
+
+	// The round's stable radix sort of the roots must give the (key, root)
+	// order: random anchor and prefix keys of every length up to the
+	// packing limit, keys at the default PartitionLen (the common case,
+	// with most bytes constant), short prefix keys, and heavy duplication.
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(400)
+		distinct := 1 + rng.Intn(n+1)
+		pool := make([]uint64, distinct)
+		for k := range pool {
+			l := 6
+			switch trial % 4 {
+			case 1:
+				l = rng.Intn(maxPackedPartition + 1)
+			case 2:
+				l = rng.Intn(4) // short keys: reads shorter than PartitionLen
+			}
+			pool[k] = packPartKey(rng.Intn(3) == 0, dna.Random(rng, l))
+		}
+		keys := make([]uint64, n)
+		want := make([]int32, n)
+		for d := range keys {
+			keys[d] = pool[rng.Intn(distinct)]
+			want[d] = int32(d)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if keys[a] != keys[b] {
+				return keys[a] < keys[b]
+			}
+			return a < b
+		})
+		got := make([]int32, n)
+		radixOrder(keys, got, make([]int32, n))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, %d distinct keys): radix order diverges from (key, root) order", trial, n, distinct)
+		}
 	}
 }
 
@@ -327,11 +368,18 @@ func TestSigKernelsZeroAlloc(t *testing.T) {
 	idxW.signatureInto(gsW, dna.Random(rng, 110), sig2)
 	idxQ.qsigBitsInto(gsQ, read, bits)
 	idxQ.qsigBitsInto(gsQ, dna.Random(rng, 110), bits2)
+	var pres gramPresence
+	presenceOf(read, &pres)
+	planes := make([]uint64, sweepPlanes*len(bits))
 	for name, f := range map[string]func(){
 		"signatureInto":       func() { idxW.signatureInto(gsW, read, sig) },
 		"qsigBitsInto":        func() { idxQ.qsigBitsInto(gsQ, read, bits) },
+		"qsigGather":          func() { qsigGather(gsQ.codes, &pres, bits) },
 		"hammingPacked":       func() { hammingPacked(bits, bits2) },
 		"wgramDistanceWithin": func() { wgramDistanceWithin(sig, sig2, 18) },
+		"planeAdd":            func() { clear(planes); planeAdd(planes, bits2) },
+		"planeScreenKey":      func() { planeScreenKey(planes, bits, 20, 1, 20) },
+		"planeMeanDistance":   func() { planeMeanDistance(planes, bits, 1, 48) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n > 0 {
 			t.Errorf("%s allocates %.1f/op", name, n)
@@ -340,16 +388,27 @@ func TestSigKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestRoundRunnerZeroAlloc pins the tentpole's allocation claim: once warm,
-// a full clustering round on the fast path allocates nothing (single-worker
-// dispatch; the parallel dispatcher's goroutines are outside the claim).
+// a full clustering round and a full straggler-sweep pass on the fast path
+// allocate nothing (single-worker dispatch; the parallel dispatcher's
+// goroutines are outside the claim). The sweep pass is replayed from a saved
+// union-find so every measured pass has stragglers to screen, rank and
+// edit-check. QGram runs with gathered signatures (GramLen 4) and with the
+// chain-indexed scan (GramLen 5).
 func TestRoundRunnerZeroAlloc(t *testing.T) {
-	for _, mode := range []SignatureMode{QGram, WGram} {
+	for _, tc := range []struct {
+		mode    SignatureMode
+		gramLen int
+	}{{QGram, 4}, {QGram, 5}, {WGram, 4}} {
 		reads, _ := makePool(109, 60, 110, 5, 0.03)
-		o := Options{Mode: mode, ThetaLow: 2, ThetaHigh: 18, EditThreshold: 14, Workers: 1, Seed: 11}.withDefaults(110)
+		o := Options{Mode: tc.mode, GramLen: tc.gramLen, ThetaLow: 2, ThetaHigh: 18, EditThreshold: 14, Workers: 1, Seed: 11}.withDefaults(110)
+		var pres []gramPresence
+		if tc.mode == QGram && tc.gramLen == presQ {
+			pres = presenceSets(t.Context(), reads, 1)
+		}
 		uf := newUnionFind(len(reads))
 		var stats Stats
 		editScr := make([]edit.Scratch, 1)
-		rr := newRoundRunner(t.Context(), reads, uf, o, o.ThetaLow, o.ThetaHigh, editScr, &stats)
+		rr := newRoundRunner(t.Context(), reads, pres, uf, o, o.ThetaLow, o.ThetaHigh, editScr, &stats)
 		rng := xrand.New(o.Seed)
 		for round := 0; round < 6; round++ { // warmup: buffers reach steady size
 			rr.runRound(rng, round)
@@ -359,7 +418,22 @@ func TestRoundRunnerZeroAlloc(t *testing.T) {
 			rr.runRound(rng, round)
 			round++
 		}); n > 0 {
-			t.Errorf("mode=%v: steady-state runRound allocates %.1f/op", mode, n)
+			t.Errorf("mode=%v q=%d: steady-state runRound allocates %.1f/op", tc.mode, tc.gramLen, n)
+		}
+
+		parent := append([]int(nil), uf.parent...)
+		size := append([]int(nil), uf.size...)
+		calls := stats.EditDistanceCalls
+		rr.runSweepPass(0)
+		if stats.EditDistanceCalls == calls {
+			t.Fatalf("mode=%v q=%d: warm sweep pass made no edit call; the pool no longer exercises the sweep", tc.mode, tc.gramLen)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			copy(uf.parent, parent)
+			copy(uf.size, size)
+			rr.runSweepPass(0)
+		}); n > 0 {
+			t.Errorf("mode=%v q=%d: warm runSweepPass allocates %.1f/op", tc.mode, tc.gramLen, n)
 		}
 	}
 }
@@ -409,8 +483,9 @@ func TestAutoEditThresholdFilterIdentity(t *testing.T) {
 			}
 		}
 		es := make([]edit.Scratch, 1)
-		ref := autoEditThresholdOpt(context.Background(), reads, readLen, xrand.Derive(tc.seed, 0xc0f3), es, false)
-		got := autoEditThresholdOpt(context.Background(), reads, readLen, xrand.Derive(tc.seed, 0xc0f3), es, true)
+		pres := presenceSets(context.Background(), reads, 1)
+		ref := autoEditThresholdOpt(context.Background(), reads, pres, readLen, xrand.Derive(tc.seed, 0xc0f3), es, false)
+		got := autoEditThresholdOpt(context.Background(), reads, pres, readLen, xrand.Derive(tc.seed, 0xc0f3), es, true)
 		if got != ref {
 			t.Errorf("pool %d: filtered autoEditThreshold = %d, reference = %d", tc.seed, got, ref)
 		}
@@ -423,7 +498,7 @@ func TestAutoEditThresholdFilterIdentity(t *testing.T) {
 func TestCalibFilterSoundness(t *testing.T) {
 	rng := xrand.New(77)
 	var es edit.Scratch
-	var pa, pb calibPresence
+	var pa, pb gramPresence
 	for trial := 0; trial < 2000; trial++ {
 		a := dna.Random(rng, 20+rng.Intn(120))
 		b := dna.Random(rng, 20+rng.Intn(120))
@@ -434,17 +509,15 @@ func TestCalibFilterSoundness(t *testing.T) {
 				b[rng.Intn(len(b))] = dna.Base(rng.Intn(dna.NumBases))
 			}
 		}
-		da := calibPresenceOf(a, &pa)
-		calibPresenceOf(b, &pb)
+		presenceOf(a, &pa)
+		presenceOf(b, &pb)
+		da := pa.count()
 		k := rng.Intn(40)
-		if da == 0 || k*calibQ >= da {
+		if da == 0 || k*presQ >= da {
 			continue
 		}
-		inter := 0
-		for w := range pa {
-			inter += bits.OnesCount64(pa[w] & pb[w])
-		}
-		if inter >= da-k*calibQ {
+		inter := pa.shared(&pb)
+		if inter >= da-k*presQ {
 			continue // filter passes the pair through; nothing to check
 		}
 		if d, ok := es.Within(a, b, k); ok {

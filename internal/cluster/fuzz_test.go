@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,8 @@ func fuzzRead(raw []byte) dna.Seq {
 // reference signature packed bit for bit, hammingPacked must equal
 // gramSet.distance, and wgramDistanceWithin must honour its contract
 // against gramSet.distance (exact inside the threshold band, anything
-// above it outside).
+// above it outside). It also pins the kernels behind gathered signatures and
+// the QGram straggler sweep (checkPresenceAndPlanes).
 func FuzzSigDistance(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTACGTACGTACGT"), []byte("ACGTACCTACGTACGAACGTACGT"), uint64(1), byte(0), byte(48), byte(4), uint16(18))
 	f.Add([]byte("GATTACAGATTACAGATTACA"), []byte("TTTTTTTTTTTTTTTTTTTTT"), uint64(7), byte(1), byte(24), byte(3), uint16(40))
@@ -44,6 +46,8 @@ func FuzzSigDistance(f *testing.F) {
 		count := 1 + int(countB)%96
 		q := 1 + int(qB)%maxRollingQ
 		gs := newGramSet(xrand.Derive(seed, 1), mode, count, q)
+
+		checkPresenceAndPlanes(t, a, b, seed, count)
 
 		var sc sigScratch
 		refA := append([]int32(nil), gs.signatureScratch(a, &sc)...)
@@ -92,4 +96,99 @@ func FuzzSigDistance(f *testing.F) {
 			t.Fatalf("wgramDistanceWithin(th>WGramFar) = %d, reference %d", got, refD)
 		}
 	})
+}
+
+// checkPresenceAndPlanes pins, for a 4-gram QGram set of count grams:
+//   - the signature gathered from a read's presence set equals
+//     qsigBitsInto's, short reads included;
+//   - bit-planes built from up to sweepSigReads member reads (derived from
+//     a and b) hold each gram's member count, and their summed counts;
+//   - planeMeanDistance equals gramSet.meanDistance against the reference
+//     averaged signature bit for bit;
+//   - the exact integer screen key is within sweepRoundoff of that float32
+//     distance.
+func checkPresenceAndPlanes(t *testing.T, a, b dna.Seq, seed uint64, count int) {
+	t.Helper()
+	gs := newGramSet(xrand.Derive(seed, 2), QGram, count, presQ)
+	var gi gramIndex
+	gi.build(gs)
+	gw := sigWords(count)
+	for _, r := range []dna.Seq{a, b} {
+		var p gramPresence
+		presenceOf(r, &p)
+		want := make([]uint64, gw)
+		gi.qsigBitsInto(gs, r, want)
+		got := make([]uint64, gw)
+		qsigGather(gs.codes, &p, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("qsigGather diverges from qsigBitsInto (len %d, count %d)", len(r), count)
+		}
+	}
+
+	// Members: a and b alternately, rotated so they differ; the planes are
+	// checked after each member, so every member count 1..sweepSigReads is
+	// covered, against both reads as the straggler.
+	planes := make([]uint64, sweepPlanes*gw)
+	sum := make([]float32, count)
+	bits := make([]uint64, gw)
+	mean := make([]float32, count)
+	var sc sigScratch
+	c := 0
+	for n := 1; n <= sweepSigReads; n++ {
+		base := a
+		if n%2 == 0 {
+			base = b
+		}
+		m := base
+		if len(base) > 0 {
+			s := n * 7 % len(base)
+			m = append(append(dna.Seq(nil), base[s:]...), base[:s]...)
+		}
+		for g, v := range gs.signatureScratch(m, &sc) {
+			sum[g] += float32(v)
+		}
+		gi.qsigBitsInto(gs, m, bits)
+		c += planeAdd(planes, bits)
+
+		total := 0
+		for g := range mean {
+			if got := planeCount(planes, gw, g); got != int(sum[g]) {
+				t.Fatalf("n=%d: plane count of gram %d = %d, member count %v", n, g, got, sum[g])
+			}
+			total += int(sum[g])
+			mean[g] = sum[g] / float32(n) // the reference: count[g] == n in QGram
+		}
+		if c != total {
+			t.Fatalf("n=%d: summed plane counts %d, member counts %d", n, c, total)
+		}
+
+		for _, r := range []dna.Seq{a, b} {
+			sig := gs.signatureScratch(r, &sc)
+			s := make([]uint64, gw)
+			packQSig(sig, s)
+			p := 0
+			for _, v := range sig {
+				p += int(v)
+			}
+			want := gs.meanDistance(sig, mean)
+			got := planeMeanDistance(planes, s, n, count)
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("n=%d: planeMeanDistance = %v, meanDistance = %v (count %d)", n, got, want, count)
+			}
+			key := planeScreenKey(planes, s, p, n, c)
+			if diff := math.Abs(float64(want) - float64(key)/sweepKeyScale); diff > sweepRoundoff(count) {
+				t.Fatalf("n=%d: screen key %d (%.9g) is %.3g from meanDistance %v, beyond ε %.3g",
+					n, key, float64(key)/sweepKeyScale, diff, want, sweepRoundoff(count))
+			}
+		}
+	}
+}
+
+// planeCount is gram g's member count in planes (gw words per plane).
+func planeCount(planes []uint64, gw, g int) int {
+	c := 0
+	for b := 0; b < sweepPlanes; b++ {
+		c |= int(planes[b*gw+(g>>6)]>>(uint(g)&63)&1) << b
+	}
+	return c
 }

@@ -9,12 +9,19 @@
 //     per-root member spans),
 //   - partition keys become packed uint64s (2 bits per base, left-aligned,
 //     plus an anchor/prefix tag bit and the length) whose numeric order
-//     equals the reference keys' string order, so sorting (key, root) pairs
-//     reproduces the reference partition iteration exactly,
+//     equals the reference keys' string order; they are computed per dense
+//     root in parallel, and a stable LSD radix sort of the roots by key
+//     (radixOrder, constant bytes skipped) reproduces the reference
+//     partition iteration exactly,
 //   - signatures land in flat per-root rows (bit-packed words for q-gram,
-//     []int32 for w-gram) with a validity flag replacing nil-as-missing,
+//     []int32 for w-gram) with a validity flag replacing nil-as-missing;
+//     with 4-gram q-grams a row is a gather from the read's presence set
+//     (qsigGather), built once per clustering call, instead of a rescan,
 //   - merge proposals append to per-worker buffers with per-partition
 //     (start, count) spans, applied in partition order.
+//
+// Only the rng draws (anchor, grams, one representative per root), the
+// union-find snapshot and the proposal application stay serial.
 //
 // Steady-state rounds allocate nothing (pinned by TestRoundRunnerZeroAlloc);
 // every decision, rng draw and Stats counter is bit-identical to the
@@ -23,7 +30,6 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"dnastore/internal/dna"
@@ -37,26 +43,54 @@ import (
 // PartitionLen configurations fall back to the reference path.
 const maxPackedPartition = 28
 
-// partEntry is one cluster's partition assignment: the packed key and the
-// cluster's dense root index.
-type partEntry struct {
-	key  uint64
-	root int32
-}
-
-// partSlice sorts partition entries by (key, root). Pointer receivers keep
-// the sort.Interface conversion allocation-free.
-type partSlice []partEntry
-
-func (p *partSlice) Len() int { return len(*p) }
-func (p *partSlice) Less(i, j int) bool {
-	a, b := (*p)[i], (*p)[j]
-	if a.key != b.key {
-		return a.key < b.key
+// radixOrder fills order (len(keys)) with the dense roots 0..len(keys)-1
+// sorted stably by keys[root]: an LSD radix sort, one 8-bit digit per pass,
+// ping-ponging between order and tmp (same length). Digits on which every
+// key agrees are skipped: with the default PartitionLen only the
+// tag/leading-base byte and the next one vary, so a round's sort is two
+// linear passes. Roots start in ascending order and the sort is stable, so
+// the result is the (key, root) order the reference's sorted string keys
+// give (pinned by TestPackedPartitionKeys).
+//
+//dnalint:hotpath
+func radixOrder(keys []uint64, order, tmp []int32) {
+	for d := range order {
+		order[d] = int32(d)
 	}
-	return a.root < b.root
+	if len(keys) < 2 {
+		return
+	}
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		and &= k
+		or |= k
+	}
+	src, dst := order, tmp
+	var count [256]int
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
+		}
+		count = [256]int{}
+		for _, r := range src {
+			count[keys[r]>>shift&0xff]++
+		}
+		sum := 0
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for _, r := range src {
+			b := keys[r] >> shift & 0xff
+			dst[count[b]] = r
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+	}
 }
-func (p *partSlice) Swap(i, j int) { (*p)[i], (*p)[j] = (*p)[j], (*p)[i] }
 
 // int32Slice sorts []int32 ascending without the sort.Slice closure.
 type int32Slice []int32
@@ -194,6 +228,7 @@ func anchorIndex(r, anchor dna.Seq) int {
 type roundRunner struct {
 	ctx                 context.Context
 	reads               []dna.Seq
+	pres                []gramPresence // per-read 4-gram sets; nil unless QGram with GramLen presQ
 	uf                  *unionFind
 	o                   Options
 	thetaLow, thetaHigh int
@@ -211,10 +246,14 @@ type roundRunner struct {
 	members   []int32
 	reps      []int32 // dense -> representative read id
 
-	// Partition grouping: (key, root) entries sorted by key, with group
-	// boundaries in groupOff; aw is the worker count the groups were
-	// strided over (locates each group's proposal buffer).
-	parts    partSlice
+	// Partition grouping: keys holds each dense root's packed partition
+	// key, order the roots sorted by (key, root) (orderTmp is the radix
+	// sort's second buffer), groupOff the group boundaries in order; aw is
+	// the worker count the groups were strided over (locates each group's
+	// proposal buffer).
+	keys     []uint64
+	order    []int32
+	orderTmp []int32
 	groupOff []int32
 	aw       int
 
@@ -248,16 +287,19 @@ type roundRunner struct {
 
 	// Dispatch closures, created once so steady-state rounds do not
 	// allocate them per ParallelForW call.
+	keyItemFn   func(w, i int)
 	sigItemFn   func(w, i int)
 	groupItemFn func(w, i int)
 
 	sweep sweepIndex
 }
 
-func newRoundRunner(ctx context.Context, reads []dna.Seq, uf *unionFind, o Options, thetaLow, thetaHigh int, editScr []edit.Scratch, stats *Stats) *roundRunner {
+// newRoundRunner prepares a runner over reads. pres holds every read's
+// presence set when signatures are gathered (QGram, GramLen presQ), else nil.
+func newRoundRunner(ctx context.Context, reads []dna.Seq, pres []gramPresence, uf *unionFind, o Options, thetaLow, thetaHigh int, editScr []edit.Scratch, stats *Stats) *roundRunner {
 	n := len(reads)
 	rr := &roundRunner{
-		ctx: ctx, reads: reads, uf: uf, o: o,
+		ctx: ctx, reads: reads, pres: pres, uf: uf, o: o,
 		thetaLow: thetaLow, thetaHigh: thetaHigh,
 		stats: stats, editScr: editScr,
 		rootOf:    make([]int32, n),
@@ -269,6 +311,7 @@ func newRoundRunner(ctx context.Context, reads []dna.Seq, uf *unionFind, o Optio
 		prng:      make([]xrand.RNG, o.Workers),
 		wprops:    make([][]pairProposal, o.Workers),
 	}
+	rr.keyItemFn = rr.keyItem
 	rr.sigItemFn = rr.sigItem
 	rr.groupItemFn = rr.groupItem
 	return rr
@@ -340,34 +383,26 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	}
 
 	// Partition clusters by the l bases after the anchor (prefix fallback),
-	// as packed keys; sorting by (key, dense root) reproduces the reference
-	// path's sorted-string-key partition map exactly.
-	anchor := rr.anchorBuf
-	parts := rr.parts[:0]
-	for d := 0; d < nr; d++ {
-		r := rr.reads[reps[d]]
-		var key uint64
-		if pos := anchorIndex(r, anchor); pos >= 0 && pos+o.AnchorLen+o.PartitionLen <= len(r) {
-			key = packPartKey(false, r[pos+o.AnchorLen:pos+o.AnchorLen+o.PartitionLen])
-		} else {
-			n := o.PartitionLen
-			if n > len(r) {
-				n = len(r)
-			}
-			key = packPartKey(true, r[:n])
-		}
-		parts = append(parts, partEntry{key: key, root: int32(d)})
+	// as packed keys computed per dense root in parallel; a stable sort of
+	// the roots by key reproduces the reference path's sorted-string-key
+	// partition map exactly. Keys are pre-set to 0 (the empty anchor key,
+	// which no real key equals), so an item that never completes groups
+	// harmlessly instead of keeping a previous round's key.
+	keys := ensureUint64(&rr.keys, nr)
+	for d := range keys {
+		keys[d] = 0
 	}
-	rr.parts = parts
-	sort.Sort(&rr.parts)
+	exec.ParallelForW(rr.ctx, o.Workers, nr, rr.keyItemFn)
+	order := ensureInt32(&rr.order, nr)
+	radixOrder(keys, order, ensureInt32(&rr.orderTmp, nr))
 	groupOff := append(rr.groupOff[:0], 0)
-	for i := 1; i < len(parts); i++ {
-		if parts[i].key != parts[i-1].key {
+	for i := 1; i < nr; i++ {
+		if keys[order[i]] != keys[order[i-1]] {
 			groupOff = append(groupOff, int32(i))
 		}
 	}
-	if len(parts) > 0 {
-		groupOff = append(groupOff, int32(len(parts)))
+	if nr > 0 {
+		groupOff = append(groupOff, int32(nr))
 	}
 	rr.groupOff = groupOff
 	ngroups := len(groupOff) - 1
@@ -400,8 +435,8 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 		if hi-lo < 2 {
 			continue
 		}
-		for _, e := range parts[lo:hi] {
-			rr.sigNeeded[e.root] = true
+		for _, d := range order[lo:hi] {
+			rr.sigNeeded[d] = true
 		}
 	}
 	exec.ParallelForW(rr.ctx, o.Workers, nr, rr.sigItemFn)
@@ -449,6 +484,19 @@ func (rr *roundRunner) runRound(rng *xrand.RNG, round int) {
 	rr.stats.ClusterTime += time.Since(partStart)
 }
 
+// keyItem computes dense root d's partition key from its representative:
+// the PartitionLen bases after the round's anchor, or the read's prefix when
+// the anchor is missing or too close to the end.
+func (rr *roundRunner) keyItem(_, d int) {
+	o := rr.o
+	r := rr.reads[rr.reps[d]]
+	if pos := anchorIndex(r, rr.anchorBuf); pos >= 0 && pos+o.AnchorLen+o.PartitionLen <= len(r) {
+		rr.keys[d] = packPartKey(false, r[pos+o.AnchorLen:pos+o.AnchorLen+o.PartitionLen])
+		return
+	}
+	rr.keys[d] = packPartKey(true, r[:min(o.PartitionLen, len(r))])
+}
+
 // sigItem computes dense root i's representative signature into its flat row
 // (worker w). The validity flag is set last: a panic or cancellation leaves
 // the row marked missing, the fast path's equivalent of a nil signature.
@@ -458,9 +506,12 @@ func (rr *roundRunner) sigItem(_, i int) {
 		return
 	}
 	read := rr.reads[rr.reps[i]]
-	if rr.o.Mode == QGram {
+	switch {
+	case rr.pres != nil:
+		qsigGather(rr.gs.set.codes, &rr.pres[rr.reps[i]], rr.sigQ[i*rr.qw:(i+1)*rr.qw])
+	case rr.o.Mode == QGram:
 		rr.gs.idx.qsigBitsInto(rr.gs.set, read, rr.sigQ[i*rr.qw:(i+1)*rr.qw])
-	} else {
+	default:
 		g := rr.o.NumGrams
 		rr.gs.idx.signatureInto(rr.gs.set, read, rr.sigW[i*g:(i+1)*g])
 	}
@@ -473,7 +524,7 @@ func (rr *roundRunner) sigItem(_, i int) {
 func (rr *roundRunner) groupItem(w, gi int) {
 	o := rr.o
 	lo, hi := int(rr.groupOff[gi]), int(rr.groupOff[gi+1])
-	group := rr.parts[lo:hi]
+	group := rr.order[lo:hi]
 	buf := rr.wprops[w]
 	rr.propStart[gi] = int32(len(buf))
 	if len(group) < 2 {
@@ -490,7 +541,7 @@ func (rr *roundRunner) groupItem(w, gi int) {
 		// The reference derives this stream per partition but only consumes
 		// it when sampling; deriving lazily keeps unsampled groups free and
 		// the consumed stream bit-identical.
-		prng.ReseedDerive(o.Seed, packedKeyHash(group[0].key)^uint64(rr.round))
+		prng.ReseedDerive(o.Seed, packedKeyHash(rr.keys[group[0]])^uint64(rr.round))
 	}
 	editCalls := int32(0)
 	for ai := 0; ai < len(group); ai++ {
@@ -498,7 +549,7 @@ func (rr *roundRunner) groupItem(w, gi int) {
 			if stride > 1 && prng.Intn(stride) != 0 {
 				continue
 			}
-			a, b := int(group[ai].root), int(group[bi].root)
+			a, b := int(group[ai]), int(group[bi])
 			var d int
 			switch {
 			case !rr.sigOK[a] || !rr.sigOK[b]:

@@ -1,32 +1,120 @@
-// Bit-packed signature kernels and the chain-indexed signature scan — the
-// clustering fast path's counterparts of signature.go's reference
-// implementations.
+// Bit-packed signature kernels, the per-read gram presence sets and the
+// chain-indexed signature scan — the clustering fast path's counterparts of
+// signature.go's reference implementations.
 //
-// Three pieces live here. gramIndex maps a packed q-gram code to the chain of
-// gram-set indices holding that code, so one rolling-hash pass over a read
-// fills its whole signature without the reference path's 4^q
-// first-occurrence table (and without its per-signature allocation). The
-// q-gram presence signature is additionally kept bit-packed in []uint64
-// words, making the Hamming distance an XOR+popcount sweep (hammingPacked) —
-// the same move the Myers kernels made for edit distance. The w-gram L1
-// distance gets a running-sum early exit against thetaHigh
-// (wgramDistanceWithin): exact integer arithmetic proves the final
-// normalized distance cannot come back under the threshold and bails.
+// Every read gets one 256-bit presence set of its distinct 4-grams
+// (gramPresence), built once per clustering call in parallel and shared by
+// the edit-threshold calibration's counting screen, the round signatures and
+// the straggler sweep. In QGram mode with the default gram length 4 a
+// signature is a gather of the gram set's codes from that set (qsigGather)
+// instead of a rescan of the read.
+//
+// For other gram lengths and for w-grams, gramIndex maps a packed q-gram
+// code to the chain of gram-set indices holding that code, so one
+// rolling-hash pass over a read fills its whole signature without the
+// reference path's 4^q first-occurrence table (and without its
+// per-signature allocation). The q-gram presence signature is kept
+// bit-packed in []uint64 words, making the Hamming distance an XOR+popcount
+// sweep (hammingPacked) — the same move the Myers kernels made for edit
+// distance. The w-gram L1 distance gets a running-sum early exit against
+// thetaHigh (wgramDistanceWithin): exact integer arithmetic proves the
+// final normalized distance cannot come back under the threshold and bails.
 //
 // Every kernel is held bit-identical to its []int32 reference by
 // FuzzSigDistance and the fixed-seed identity tests.
 package cluster
 
 import (
+	"context"
 	"math/bits"
 
 	"dnastore/internal/dna"
+	"dnastore/internal/exec"
 )
 
 // sigWords is the []uint64 word count of a packed presence signature over
 // count grams.
 func sigWords(count int) int {
 	return (count + 63) / 64
+}
+
+// presQ is the gram length of the per-read presence sets. 4 keeps the code
+// space at 256, so a set is four uint64 words; it is also the default
+// Options.GramLen, which is what lets round and sweep signatures be gathered
+// from the sets.
+const presQ = 4
+
+// presWords is the uint64 word count of a presQ-gram presence set.
+const presWords = (1 << (2 * presQ)) / 64
+
+// gramPresence is the set of distinct presQ-gram codes occurring in a read,
+// one bit per packed code (first base most significant, as packGram).
+type gramPresence [presWords]uint64
+
+// presenceOf fills pb with the read's distinct presQ-gram presence set.
+// Reads shorter than presQ get the empty set.
+func presenceOf(read dna.Seq, pb *gramPresence) {
+	for i := range pb {
+		pb[i] = 0
+	}
+	if len(read) < presQ {
+		return
+	}
+	const mask = uint32(1<<(2*presQ) - 1)
+	var code uint32
+	for i, b := range read {
+		code = (code<<2 | uint32(b&3)) & mask
+		if i >= presQ-1 {
+			pb[code>>6] |= 1 << (code & 63)
+		}
+	}
+}
+
+// count is the number of distinct grams in the set.
+func (pb *gramPresence) count() int {
+	n := 0
+	for _, w := range pb {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// shared is the number of distinct grams the two sets have in common.
+func (pb *gramPresence) shared(o *gramPresence) int {
+	n := 0
+	for w := range pb {
+		n += bits.OnesCount64(pb[w] & o[w])
+	}
+	return n
+}
+
+// presenceSets builds every read's presence set, in parallel. A cancelled
+// call leaves later sets empty; callers re-check ctx before any result of
+// theirs is used.
+func presenceSets(ctx context.Context, reads []dna.Seq, workers int) []gramPresence {
+	pres := make([]gramPresence, len(reads))
+	exec.ParallelForW(ctx, workers, len(reads), func(_, i int) {
+		presenceOf(reads[i], &pres[i])
+	})
+	return pres
+}
+
+// qsigGather fills dst (len == sigWords(len(codes))) with a read's
+// bit-packed q-gram presence signature over the presQ-gram codes, read from
+// the read's presence set p: bit g is set iff code g occurs in the read.
+// For a gram set of length presQ it equals gramIndex.qsigBitsInto on the
+// same read, short reads included (pinned by FuzzSigDistance).
+//
+//dnalint:hotpath
+func qsigGather(codes []uint32, p *gramPresence, dst []uint64) {
+	for w := range dst {
+		lo := w * 64
+		var word uint64
+		for g, c := range codes[lo:min(lo+64, len(codes))] {
+			word |= (p[c>>6] >> (c & 63) & 1) << uint(g)
+		}
+		dst[w] = word
+	}
 }
 
 // packQSig packs a reference q-gram presence signature (0/1 entries) into

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math/bits"
 	"sort"
 
 	"dnastore/internal/dna"
@@ -11,52 +10,16 @@ import (
 	"dnastore/internal/xrand"
 )
 
-// calibQ is the q-gram length of the counting filter that screens
-// edit-distance calls during calibration. Independent of Options.GramLen:
-// the filter is internal to autoEditThreshold and 4 keeps the code space at
-// 256 so a presence set is four uint64 words.
-const calibQ = 4
-
-// calibWords is the uint64 word count of a calibQ-gram presence set.
-const calibWords = (1 << (2 * calibQ)) / 64
-
-// calibPresence is the set of distinct calibQ-gram codes occurring in a
-// read, one bit per packed code.
-type calibPresence [calibWords]uint64
-
-// calibPresenceOf fills pb with the read's distinct calibQ-gram presence set
-// and returns the number of distinct grams (the set's popcount).
-func calibPresenceOf(read dna.Seq, pb *calibPresence) int {
-	for i := range pb {
-		pb[i] = 0
-	}
-	if len(read) < calibQ {
-		return 0
-	}
-	const mask = uint32(1<<(2*calibQ) - 1)
-	var code uint32
-	for i, b := range read {
-		code = (code<<2 | uint32(b&3)) & mask
-		if i >= calibQ-1 {
-			pb[code>>6] |= 1 << (code & 63)
-		}
-	}
-	n := 0
-	for _, w := range pb {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // autoEditThreshold picks the merge-confirmation edit-distance threshold
 // from the data, in the same spirit as AutoThresholds: sample probe reads,
 // compute banded edit distances to a sample, and place the threshold midway
 // between the nearest-neighbour mode (same-strand pairs) and the median
 // (different-strand pairs). A fixed fraction of the read length is unsafe:
 // for short strands the two distributions sit close together, and for long
-// ones it wastes the available gap. es holds one edit scratch per worker.
-func autoEditThreshold(ctx context.Context, reads []dna.Seq, readLen int, rng *xrand.RNG, es []edit.Scratch) int {
-	return autoEditThresholdOpt(ctx, reads, readLen, rng, es, true)
+// ones it wastes the available gap. pres holds every read's presence set
+// (presenceSets) and es one edit scratch per worker.
+func autoEditThreshold(ctx context.Context, reads []dna.Seq, pres []gramPresence, readLen int, rng *xrand.RNG, es []edit.Scratch) int {
+	return autoEditThresholdOpt(ctx, reads, pres, readLen, rng, es, true)
 }
 
 // calibPhase1Pairs is the number of sample partners each probe is compared
@@ -67,12 +30,13 @@ const calibPhase1Pairs = 40
 // switchable. filtered=false is the reference: phase 2 scans every pair with
 // a banded edit-distance call. filtered=true screens pairs with the presence
 // form of the q-gram counting lemma (Ukkonen): an edit operation touches at
-// most calibQ gram positions of a, the positions touched by different
+// most presQ gram positions of a, the positions touched by different
 // vanished codes are disjoint, and a distinct code of a vanishes only if all
-// its occurrences are touched — so if ed(a,b) <= k, at most k*calibQ
+// its occurrences are touched — so if ed(a,b) <= k, at most k*presQ
 // distinct codes of a are absent from b and the presence sets share at
-// least da - k*calibQ codes (da = a's distinct-gram count). The screen is
-// four AND+popcount words per pair; calibNearestScreened explains why the
+// least da - k*presQ codes (da = a's distinct-gram count). The screen is
+// four AND+popcount words per pair over the shared per-read presence sets
+// (pres, read only when filtered); calibNearestScreened explains why the
 // screened search resolves the reference scan's exact value.
 // TestAutoEditThresholdFilterIdentity pins the two variants equal;
 // TestCalibFilterSoundness checks the lemma directly.
@@ -83,7 +47,7 @@ const calibPhase1Pairs = 40
 // worker count (pinned by TestAutoEditThresholdWorkerIdentity). A probe item
 // that panics or is cancelled leaves its -1 "no evidence" entries behind;
 // the caller re-checks ctx before using the result.
-func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, readLen int, rng *xrand.RNG, es []edit.Scratch, filtered bool) int {
+func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, pres []gramPresence, readLen int, rng *xrand.RNG, es []edit.Scratch, filtered bool) int {
 	bound := readLen * 3 / 5
 	if bound < 4 {
 		bound = 4
@@ -135,14 +99,6 @@ func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, readLen int, rng
 	// screened variant resolves the same value through the counting filter
 	// (see calibNearestScreened); probes it cannot resolve — and the
 	// reference variant always — pay the verbatim sequential scan.
-	var sampleBits []calibPresence
-	if filtered {
-		sampleBits = make([]calibPresence, nSample)
-		exec.ParallelForW(ctx, workers, nSample, func(_, j int) {
-			calibPresenceOf(reads[sample[j]], &sampleBits[j])
-		})
-	}
-	pbs := make([]calibPresence, workers)
 	nearest := make([]int, nProbe)
 	for i := range nearest {
 		nearest[i] = -1
@@ -151,7 +107,7 @@ func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, readLen int, rng
 		pi := probes[i]
 		nn, done := 0, false
 		if filtered && median > 2 {
-			nn, done = calibNearestScreened(reads, pi, sample, sampleBits, median, &pbs[w], &es[w])
+			nn, done = calibNearestScreened(reads, pres, pi, sample, median, &es[w])
 		}
 		if !done {
 			nn = calibNearestScan(reads, pi, sample, median, &es[w])
@@ -189,7 +145,7 @@ func dropMissing(vals []int) []int {
 // calibScreenBand is the edit band the screened nearest-neighbour search
 // checks candidates against. It must comfortably cover the same-strand mode
 // (a few percent of the read length) while keeping the presence floor
-// da - band*calibQ high enough that different-strand pairs screen out.
+// da - band*presQ high enough that different-strand pairs screen out.
 const calibScreenBand = 12
 
 // calibNearestScan is the reference phase-2 inner loop, verbatim: scan the
@@ -227,27 +183,23 @@ func calibNearestScan(reads []dna.Seq, pi int, sample []int, median int, es *edi
 //
 // Requires median > 2 (the caller guards): with median <= 2 the reference
 // scan breaks after its first pair regardless of distance.
-func calibNearestScreened(reads []dna.Seq, pi int, sample []int, sampleBits []calibPresence, median int, pb *calibPresence, es *edit.Scratch) (int, bool) {
-	da := calibPresenceOf(reads[pi], pb)
+func calibNearestScreened(reads []dna.Seq, pres []gramPresence, pi int, sample []int, median int, es *edit.Scratch) (int, bool) {
+	pb := &pres[pi]
+	da := pb.count()
 	ks := calibScreenBand
-	if m := (da - 1) / calibQ; m < ks {
-		ks = m // keep the floor positive: the lemma needs ks*calibQ < da
+	if m := (da - 1) / presQ; m < ks {
+		ks = m // keep the floor positive: the lemma needs ks*presQ < da
 	}
 	if ks < 3 {
 		return 0, false // degenerate probe (tiny or repeat-saturated read)
 	}
-	floor := da - ks*calibQ
+	floor := da - ks*presQ
 	candMin := 1 << 30
-	for j, sj := range sample {
+	for _, sj := range sample {
 		if pi == sj {
 			continue
 		}
-		sb := &sampleBits[j]
-		inter := 0
-		for w := range pb {
-			inter += bits.OnesCount64(pb[w] & sb[w])
-		}
-		if inter < floor {
+		if pb.shared(&pres[sj]) < floor {
 			continue // proven ed > ks
 		}
 		if d, ok := es.Within(reads[pi], reads[sj], ks); ok {
@@ -521,5 +473,6 @@ func AutoEditThresholdForTest(reads []dna.Seq, seed uint64) int {
 			readLen = len(r)
 		}
 	}
-	return autoEditThreshold(context.Background(), reads, readLen, xrand.Derive(seed, 0xc0f3), make([]edit.Scratch, 1))
+	ctx := context.Background()
+	return autoEditThreshold(ctx, reads, presenceSets(ctx, reads, 1), readLen, xrand.Derive(seed, 0xc0f3), make([]edit.Scratch, 1))
 }

@@ -56,11 +56,12 @@ func TestAutoThresholdsWrapperMatchesParallel(t *testing.T) {
 // is the same at every worker count, with and without the q-gram screen.
 func TestAutoEditThresholdWorkerIdentity(t *testing.T) {
 	reads, _ := makePool(33, 150, 128, 10, 0.06)
+	pres := presenceSets(context.Background(), reads, 1)
 	for _, filtered := range []bool{true, false} {
 		want := -1
 		for _, workers := range []int{1, 2, 4} {
 			es := make([]edit.Scratch, workers)
-			got := autoEditThresholdOpt(context.Background(), reads, 128, xrand.Derive(35, 0xc0f3), es, filtered)
+			got := autoEditThresholdOpt(context.Background(), reads, pres, 128, xrand.Derive(35, 0xc0f3), es, filtered)
 			if want < 0 {
 				want = got
 			} else if got != want {
