@@ -10,7 +10,6 @@ package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,26 +46,10 @@ func writeCSV(dir, name string, rows [][]string) {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
-// writeJSON writes v indented to path. Errors abort: a benchmark run whose
-// artifact cannot be written is useless.
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "json:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "json:", err)
-		os.Exit(1)
-	}
-}
-
 func main() {
-	run := flag.String("run", "all", "experiment: tableI, fig3, fig5, tableII, fig6, tableIII, gini, sweep, throughput, tableI-rnn, all (tableI-rnn is opt-in)")
+	run := flag.String("run", "all", "experiment: tableI, fig3, fig5, tableII, fig6, tableIII, gini, sweep, tableI-rnn, all (tableI-rnn is opt-in)")
 	quick := flag.Bool("quick", false, "use small configurations (seconds instead of minutes)")
 	csvDir := flag.String("csv", "", "also write raw series as CSV files into this directory (for plotting)")
-	benchJSON := flag.String("bench-json", "", "write the stage-throughput result as JSON to this file (implies -run throughput if selected)")
-	streamMiB := flag.String("stream-mib", "", "archive sizes (MiB, comma-separated) for the streaming benchmark run with -run throughput; empty = config default (1,16,64 full / 1 quick), \"off\" = skip")
 	flag.Parse()
 
 	selected := map[string]bool{}
@@ -225,45 +208,8 @@ func main() {
 		fmt.Fprintln(out)
 		ran++
 	}
-	if want("throughput") {
-		cfg := bench.DefaultThroughput()
-		if *quick {
-			cfg = bench.QuickThroughput()
-		}
-		start := time.Now()
-		res := bench.Throughput(cfg)
-		bench.RenderThroughput(out, res)
-		fmt.Fprintf(out, "(%.1fs)\n\n", time.Since(start).Seconds())
-		if *streamMiB != "off" {
-			scfg := bench.DefaultStreamBench()
-			if *quick {
-				scfg = bench.QuickStreamBench()
-			}
-			if *streamMiB != "" {
-				scfg.SizesMiB = nil
-				for _, f := range strings.Split(*streamMiB, ",") {
-					mib, err := strconv.Atoi(strings.TrimSpace(f))
-					if err != nil || mib <= 0 {
-						fmt.Fprintf(os.Stderr, "experiments: bad -stream-mib entry %q\n", f)
-						os.Exit(2)
-					}
-					scfg.SizesMiB = append(scfg.SizesMiB, mib)
-				}
-			}
-			start = time.Now()
-			res.StreamConfig = &scfg
-			res.Streams = bench.StreamBench(scfg)
-			bench.RenderStream(out, res.Streams)
-			fmt.Fprintf(out, "(%.1fs)\n\n", time.Since(start).Seconds())
-		}
-		ran++
-		if *benchJSON != "" {
-			writeJSON(*benchJSON, res)
-			fmt.Fprintf(out, "wrote %s\n", *benchJSON)
-		}
-	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from tableI, fig3, fig5, tableII, fig6, tableIII, gini, sweep, throughput, all\n", *run)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from tableI, fig3, fig5, tableII, fig6, tableIII, gini, sweep, tableI-rnn, all\n", *run)
 		os.Exit(2)
 	}
 }

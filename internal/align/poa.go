@@ -229,8 +229,8 @@ func (g *Graph) alignToGraph(s dna.Seq) []pair {
 // SetReferenceDP forces every subsequent alignment through the retained
 // exhaustive-DP reference kernel instead of the windowed fast path. The two
 // produce bit-identical pair lists on every input (the fast path proves its
-// bound or falls back), so this exists only for differential tests, fuzzers
-// and the throughput harness's old-vs-new rows.
+// bound or falls back), so this exists only for differential tests and
+// fuzzers.
 func (g *Graph) SetReferenceDP(on bool) { g.refDP = on }
 
 // traceback walks the move/from tables back from the sink cell (bestEnd, m)

@@ -233,7 +233,7 @@ func (s StageTimes) Total() time.Duration {
 // 1.0 means fully serial execution; values above 1 mean that much stage
 // work overlapped (the streaming runtime's pipelining win). 0 when Wall is
 // unknown or no stage work was recorded; the result is always finite
-// (never NaN/Inf), so it is safe to embed in reports and BENCH_*.json.
+// (never NaN/Inf), so it is safe to embed in reports and JSON.
 func (s StageTimes) Overlap() float64 {
 	total := s.Total()
 	if total <= 0 || s.Wall <= 0 {

@@ -30,7 +30,7 @@
 // bpWithinProfitable). The DP kernels in edit.go remain the reference
 // implementation; every kernel returns identical distances and verdicts,
 // held to the DP by the parity tests and the FuzzMyersVsDP and FuzzBandVsDP
-// differential fuzzers, and internal/bench times WithinBP against WithinDP.
+// differential fuzzers.
 package edit
 
 import "dnastore/internal/dna"

@@ -377,10 +377,9 @@ func (NW) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Se
 //
 // The output is bit-identical to whichever algorithm the dispatch selected:
 // accepted clusters return exactly BMA's consensus, rejected ones exactly
-// NW's (pinned by FuzzReconDispatch). The agreement check can only *reject*
-// BMA output, so Adaptive is never less accurate than BMA; on clusters where
-// BMA and NW genuinely differ, rejection hands the cluster to the stronger
-// NW reconstruction.
+// NW's. That is the property FuzzReconDispatch pins. It makes no accuracy
+// claim: a rejected cluster gets NW's consensus even where BMA's would have
+// decoded better (see the reconstruction item in ROADMAP.md).
 type Adaptive struct {
 	// Lookahead is the BMA lookahead window (default 3).
 	Lookahead int

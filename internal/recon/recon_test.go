@@ -160,6 +160,10 @@ func TestNWFlatterThanBMA(t *testing.T) {
 	}
 }
 
+// TestReconstructAllOrderAndNil also pins the pooled path to the per-call
+// one: every algorithm, run through workers that each reuse one Scratch
+// across several clusters, must return exactly what a fresh per-cluster
+// Reconstruct returns.
 func TestReconstructAllOrderAndNil(t *testing.T) {
 	refs, clusters := makeClusters(10, 10, 60, 5, 0.03)
 	clusters[3] = nil
@@ -172,6 +176,17 @@ func TestReconstructAllOrderAndNil(t *testing.T) {
 	}
 	if !recons[0].Equal(refs[0]) {
 		t.Fatal("cluster order not preserved")
+	}
+	for _, algo := range algorithms {
+		pooled := ReconstructAll(clusters, 60, algo, 3)
+		for i, cl := range clusters {
+			if len(cl) == 0 {
+				continue
+			}
+			if want := algo.Reconstruct(cl, 60); !pooled[i].Equal(want) {
+				t.Fatalf("%s cluster %d: pooled output diverges from per-call\n got=%v\nwant=%v", algo.Name(), i, pooled[i], want)
+			}
+		}
 	}
 }
 
