@@ -504,33 +504,67 @@ func TestLeaseProtocol(t *testing.T) {
 }
 
 func TestLeaseClaimRace(t *testing.T) {
-	// Many goroutines contend for one lease; exactly one claim may win.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "vol-00000007.lease")
 	const contenders = 16
-	wins := make([]bool, contenders)
-	var wg sync.WaitGroup
-	for i := 0; i < contenders; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			claimed, _, err := ClaimLease(path, fmt.Sprintf("c%d", i), time.Minute)
-			if err != nil {
-				t.Errorf("contender %d: %v", i, err)
-			}
-			wins[i] = claimed
-		}(i)
-	}
-	wg.Wait()
-	won := 0
-	for _, w := range wins {
-		if w {
-			won++
+	const staleAfter = time.Minute
+	// race runs the contenders against the lease at path and returns the
+	// owners whose claim succeeded.
+	race := func(t *testing.T, path string) []string {
+		wins := make([]bool, contenders)
+		var wg sync.WaitGroup
+		for i := 0; i < contenders; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				claimed, _, err := ClaimLease(path, fmt.Sprintf("c%d", i), staleAfter)
+				if err != nil {
+					t.Errorf("contender %d: %v", i, err)
+				}
+				wins[i] = claimed
+			}(i)
 		}
+		wg.Wait()
+		var owners []string
+		for i, w := range wins {
+			if w {
+				owners = append(owners, fmt.Sprintf("c%d", i))
+			}
+		}
+		return owners
 	}
-	if won != 1 {
-		t.Fatalf("%d contenders won the claim, want exactly 1", won)
-	}
+	t.Run("no lease", func(t *testing.T) {
+		// Many goroutines contend for a free lease; exactly one may win.
+		path := filepath.Join(t.TempDir(), "vol-00000007.lease")
+		if owners := race(t, path); len(owners) != 1 {
+			t.Fatalf("%d contenders won the claim (%v), want exactly 1", len(owners), owners)
+		}
+	})
+	t.Run("stale lease", func(t *testing.T) {
+		// Contenders that all read the same stale lease can each win: a
+		// later rename may retire the lease an earlier winner has just
+		// published. The guarantee is a duplicate decode, never bytes: at
+		// least one contender claims, exactly one claimer still holds the
+		// lease, and every other claimer learns it lost.
+		path := filepath.Join(t.TempDir(), "vol-00000007.lease")
+		if err := os.WriteFile(path, marshalLease("dead", time.Now().Add(-2*staleAfter)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		owners := race(t, path)
+		if len(owners) == 0 {
+			t.Fatal("no contender took over the stale lease")
+		}
+		holders := 0
+		for _, o := range owners {
+			switch err := VerifyLease(path, o); {
+			case err == nil:
+				holders++
+			case !errors.Is(err, ErrLeaseLost):
+				t.Errorf("VerifyLease(%s): %v, want nil or ErrLeaseLost", o, err)
+			}
+		}
+		if holders != 1 {
+			t.Fatalf("%d of %d claimers hold the lease, want exactly 1", holders, len(owners))
+		}
+	})
 }
 
 func TestRemoveStaleClaims(t *testing.T) {

@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"dnastore/internal/cluster"
+	"dnastore/internal/dna"
+	"dnastore/internal/recon"
+	"dnastore/internal/sim"
+	"dnastore/internal/xrand"
 )
 
 func TestTableIQuickShape(t *testing.T) {
@@ -150,21 +154,34 @@ func TestTableIIIQuickShape(t *testing.T) {
 			t.Errorf("%s: no timing", row.Label())
 		}
 	}
-	// DBMA reconstructs each half only up to the midpoint, so it costs
-	// about the same as BMA (EXPERIMENTS.md Table III records DBMA ≈ BMA,
-	// not the paper's 2×); at this tiny scale timing noise is large, so
-	// only a loose lower bound is asserted.
-	var bma, dbma float64
-	for _, row := range r.Rows {
-		switch row.Algorithm {
-		case "bma":
-			bma += row.Times.Reconstruct.Seconds()
-		case "double-sided-bma":
-			dbma += row.Times.Reconstruct.Seconds()
+	// DBMA sweeps each half only up to the midpoint, so it costs about the
+	// same as BMA (EXPERIMENTS.md Table III records DBMA ≈ BMA, not the
+	// paper's 2×). Wall-clock recon time at this scale is too noisy to
+	// assert on, so the claim is held on the sweep's deterministic work,
+	// over one seeded cluster set at Table III's point: every BMA step votes
+	// over every read of the cluster and appends one base, so a sweep costs
+	// reads × consensus length vote positions, read from the outputs alone.
+	cfg := QuickTableIII()
+	const strandLen = 120
+	rng := xrand.New(cfg.Seed)
+	ch := sim.CalibratedIID(cfg.ErrorRate)
+	clusters := make([][]dna.Seq, 200)
+	for i := range clusters {
+		ref := dna.Random(rng, strandLen)
+		for c := 0; c < cfg.Coverages[0]; c++ {
+			clusters[i] = append(clusters[i], ch.Transmit(rng, ref))
 		}
 	}
-	if dbma < bma*0.5 {
-		t.Errorf("DBMA recon time %v implausibly below BMA %v", dbma, bma)
+	votes := func(algo recon.Algorithm) int {
+		n := 0
+		for i, cons := range recon.ReconstructAll(clusters, strandLen, algo, 0) {
+			n += len(clusters[i]) * len(cons)
+		}
+		return n
+	}
+	bma, dbma := votes(recon.BMA{}), votes(recon.DoubleSidedBMA{})
+	if bma == 0 || 2*dbma < bma {
+		t.Errorf("DBMA vote positions %d implausibly below half of BMA's %d", dbma, bma)
 	}
 }
 

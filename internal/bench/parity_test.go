@@ -50,14 +50,6 @@ func TestEditKernelParityWithSeed(t *testing.T) {
 		if gd != wd || gok != wok {
 			t.Fatalf("Within(%v,%v,%d) = (%d,%v), DP (%d,%v)", a, b, k, gd, gok, wd, wok)
 		}
-		// Bit-parallel kernels, held to the same DP references.
-		if got := s.LevenshteinBP(a, b); got != dist {
-			t.Fatalf("LevenshteinBP(%v,%v) = %d, DP %d", a, b, got, dist)
-		}
-		bd, bok := s.WithinBP(a, b, k)
-		if bd != wd || bok != wok {
-			t.Fatalf("WithinBP(%v,%v,%d) = (%d,%v), DP (%d,%v)", a, b, k, bd, bok, wd, wok)
-		}
 		gops, gc := s.Align(a, b)
 		wops, wc := refAlign(a, b)
 		if gc != wc || len(gops) != len(wops) {

@@ -48,6 +48,7 @@ const calibPhase1Pairs = 40
 // that panics or is cancelled leaves its -1 "no evidence" entries behind;
 // the caller re-checks ctx before using the result.
 func autoEditThresholdOpt(ctx context.Context, reads []dna.Seq, pres []gramPresence, readLen int, rng *xrand.RNG, es []edit.Scratch, filtered bool) int {
+	// Above the one-word band (k ≤ 63) from 107 nt: phase 1 is the hot path's only myersBlocked threshold user.
 	bound := readLen * 3 / 5
 	if bound < 4 {
 		bound = 4

@@ -7,10 +7,11 @@ import (
 	"dnastore/internal/xrand"
 )
 
-// TestBandMatchesDP holds the one-word band kernel to WithinDP on random
-// and related pairs in both argument orders, for every threshold across the
-// one-word limit (k = 0..70), with length gaps at and just past k, empty
-// sides, and patterns longer than three words.
+// TestBandMatchesDP holds Within to WithinDP on random and related pairs in
+// both argument orders, for every threshold across the band kernel's
+// one-word limit (k = 0..70, so both sides of the band/column split at
+// 63/64), with length gaps at and just past k, empty sides, and patterns
+// longer than three words.
 func TestBandMatchesDP(t *testing.T) {
 	var s Scratch
 	rng := xrand.New(41)
@@ -18,10 +19,6 @@ func TestBandMatchesDP(t *testing.T) {
 		t.Helper()
 		for _, p := range [2][2]dna.Seq{{a, b}, {b, a}} {
 			wd, wok := s.WithinDP(p[0], p[1], k)
-			if gd, gok := s.WithinBand(p[0], p[1], k); gd != wd || gok != wok {
-				t.Fatalf("WithinBand(len %d,%d, k=%d) = (%d,%v), DP (%d,%v)",
-					len(p[0]), len(p[1]), k, gd, gok, wd, wok)
-			}
 			if gd, gok := s.Within(p[0], p[1], k); gd != wd || gok != wok {
 				t.Fatalf("Within(len %d,%d, k=%d) = (%d,%v), DP (%d,%v)",
 					len(p[0]), len(p[1]), k, gd, gok, wd, wok)
@@ -58,10 +55,10 @@ func TestBandMatchesDP(t *testing.T) {
 	check(nil, nil, 0)
 }
 
-// benchConfirm times one threshold kernel on the clustering confirmation
-// shape: 128-nt reads at k = 35, half unrelated pairs (rejections) and half
-// pairs of common origin about 12 edits apart.
-func benchConfirm(b *testing.B, f func(s *Scratch, x, y dna.Seq, k int) (int, bool)) {
+// BenchmarkConfirmBand128 times Within on the clustering confirmation
+// shape: 128-nt reads at k = 35 (the band kernel), half unrelated pairs
+// (rejections) and half pairs of common origin about 12 edits apart.
+func BenchmarkConfirmBand128(b *testing.B) {
 	rng := xrand.New(3)
 	var xs, ys []dna.Seq
 	for i := 0; i < 64; i++ {
@@ -79,9 +76,6 @@ func benchConfirm(b *testing.B, f func(s *Scratch, x, y dna.Seq, k int) (int, bo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f(&s, xs[i&63], ys[i&63], 35)
+		s.Within(xs[i&63], ys[i&63], 35)
 	}
 }
-
-func BenchmarkConfirmBand128(b *testing.B) { benchConfirm(b, (*Scratch).WithinBand) }
-func BenchmarkConfirmBP128(b *testing.B)   { benchConfirm(b, (*Scratch).WithinBP) }

@@ -12,16 +12,14 @@
 // Scratch owns flat backing arrays that are grown once and reused across
 // calls, taking the per-comparison allocation count to zero after warmup.
 //
-// Two kernel families implement the distance: the classic DP (LevenshteinDP,
-// WithinDP — the reference implementation) and the bit-parallel Myers
-// kernels in myers.go (LevenshteinBP and WithinBP over whole columns, 64 DP
-// cells per machine word; WithinBand over the Ukkonen band only, in one
-// word). Levenshtein and Within are dispatchers. Within sends every
-// threshold k ≤ 63 to WithinBand, whose band then fits one word, and larger
-// thresholds to WithinBP or WithinDP by input shape; Levenshtein picks
-// between LevenshteinBP and LevenshteinDP. Every kernel returns identical
-// distances and verdicts on every input (proved by the parity tests and the
-// FuzzMyersVsDP and FuzzBandVsDP differential fuzzers).
+// Levenshtein and Within are the distance entry points, each with one rule.
+// Within sends every threshold k ≤ 63, whose Ukkonen band fits one machine
+// word, to the band kernel myersBand and larger thresholds to the
+// thresholded column kernel myersBlocked; Levenshtein always runs
+// myersBlocked (both in myers.go). The classic DPs, LevenshteinDP and
+// WithinDP, are the reference implementation and serve only as oracles: the
+// parity tests and the FuzzMyersVsDP and FuzzBandVsDP differential fuzzers
+// hold both entry points to them on every input.
 package edit
 
 import "dnastore/internal/dna"
@@ -73,21 +71,24 @@ func Levenshtein(a, b dna.Seq) int {
 }
 
 // Levenshtein is the scratch-reusing form of the package-level Levenshtein;
-// results are bit-identical. It dispatches to the bit-parallel kernel,
-// which beats the row DP at every length (64 cells per word-step); the DP
-// stays reachable as LevenshteinDP.
+// results are bit-identical. It runs the bit-parallel column kernel, 64 DP
+// cells per word-step at every length.
 //
 //dnalint:hotpath
 func (s *Scratch) Levenshtein(a, b dna.Seq) int {
-	if len(a) < bpMinPattern && len(b) < bpMinPattern {
-		return s.LevenshteinDP(a, b)
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	return s.LevenshteinBP(a, b)
+	if len(a) == 0 {
+		return len(b)
+	}
+	d, _ := s.myersBlocked(a, b, -1)
+	return d
 }
 
 // LevenshteinDP is the reference row-DP edit distance: O(len(a)·len(b))
-// time, O(min) space. The dispatcher uses it for tiny inputs; parity tests
-// and the differential fuzzer hold the bit-parallel kernels to it.
+// time, O(min) space. No production path calls it; the parity tests and
+// the differential fuzzer hold Levenshtein to it.
 //
 //dnalint:hotpath
 func (s *Scratch) LevenshteinDP(a, b dna.Seq) int {
@@ -131,26 +132,42 @@ func Within(a, b dna.Seq, k int) (int, bool) {
 }
 
 // Within is the scratch-reusing form of the package-level Within; results
-// are bit-identical. Thresholds up to 63 go to the one-word band kernel;
-// above that it dispatches between the banded DP (narrow bands, tiny
-// inputs) and the thresholded bit-parallel kernel (everything else). All
-// return identical distances and verdicts on every input.
+// are bit-identical. Thresholds up to 63 go to the one-word band kernel and
+// larger ones to the thresholded column kernel; both return WithinDP's
+// distance and verdict on every input.
 //
 //dnalint:hotpath
 func (s *Scratch) Within(a, b dna.Seq, k int) (int, bool) {
+	if k < 0 {
+		return 0, false
+	}
+	la, lb := len(a), len(b)
+	if la-lb > k || lb-la > k {
+		return 0, false
+	}
+	if la == 0 {
+		return lb, lb <= k
+	}
+	if lb == 0 {
+		return la, la <= k
+	}
+	// The distance never exceeds max(la, lb), so a larger threshold buys
+	// nothing; the clamp keeps hostile k out of the kernels' arithmetic.
+	if m := max(la, lb); k > m {
+		k = m
+	}
+	if la > lb {
+		a, b = b, a
+	}
 	if k <= bandMaxK {
-		return s.WithinBand(a, b, k)
+		return s.myersBand(a, b, k)
 	}
-	if bpWithinProfitable(len(a), len(b), k) {
-		return s.WithinBP(a, b, k)
-	}
-	return s.WithinDP(a, b, k)
+	return s.myersBlocked(a, b, k)
 }
 
 // WithinDP is the reference banded (Ukkonen) threshold check, O(k·min(len))
-// time. Above the band kernel's k ≤ 63 the dispatcher uses it when the band
-// is only a few cells per bit-parallel word-step; parity tests and the
-// differential fuzzers hold WithinBP and WithinBand to it.
+// time. No production path calls it; the parity tests and the differential
+// fuzzers hold Within to it.
 //
 //dnalint:hotpath
 func (s *Scratch) WithinDP(a, b dna.Seq, k int) (int, bool) {

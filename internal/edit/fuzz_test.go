@@ -21,10 +21,11 @@ func fuzzSeq(raw []byte) dna.Seq {
 	return s
 }
 
-// FuzzLevenshtein cross-checks the three edit-distance implementations on
-// the same inputs: the full DP (Levenshtein), the banded early-exit variant
-// (Within) and the traceback alignment (Align) must all agree, and the
-// alignment must be structurally valid for the two sequences.
+// FuzzLevenshtein cross-checks the three edit-distance entry points on the
+// same inputs: the full distance (Levenshtein), the early-exit threshold
+// check (Within) and the traceback alignment (Align, a full DP) must all
+// agree, and the alignment must be structurally valid for the two
+// sequences.
 func FuzzLevenshtein(f *testing.F) {
 	f.Add([]byte("ACGT"), []byte("ACCT"), byte(2))
 	f.Add([]byte{}, []byte("TTTT"), byte(1))
@@ -87,11 +88,11 @@ func FuzzLevenshtein(f *testing.F) {
 }
 
 // FuzzMyersVsDP is the differential fuzzer for the bit-parallel kernels: on
-// arbitrary sequence pairs and thresholds, LevenshteinBP must equal the DP
-// distance and WithinBP must return exactly WithinDP's (distance, verdict).
+// arbitrary sequence pairs and thresholds, Levenshtein must equal the DP
+// distance and Within must return exactly WithinDP's (distance, verdict).
 // k is a uint16 so the fuzzer reaches thresholds beyond any real distance
-// (the kernels clamp internally); lengths up to fuzzSeq's cap cross the
-// single-word/blocked boundary at 64.
+// (Within clamps them) and runs both kernels; lengths up to fuzzSeq's cap
+// cross the one-word/blocked pattern boundary at 64.
 func FuzzMyersVsDP(f *testing.F) {
 	f.Add([]byte("ACGT"), []byte("ACCT"), uint16(2))
 	f.Add([]byte{}, []byte("TTTT"), uint16(1))
@@ -103,27 +104,23 @@ func FuzzMyersVsDP(f *testing.F) {
 		a, b := fuzzSeq(rawA), fuzzSeq(rawB)
 		var s Scratch
 		want := s.LevenshteinDP(a, b)
-		if got := s.LevenshteinBP(a, b); got != want {
-			t.Fatalf("LevenshteinBP = %d, DP = %d (lens %d,%d)", got, want, len(a), len(b))
+		if got := s.Levenshtein(a, b); got != want {
+			t.Fatalf("Levenshtein = %d, DP = %d (lens %d,%d)", got, want, len(a), len(b))
 		}
 		k := int(k16)
 		wd, wok := s.WithinDP(a, b, k)
-		bd, bok := s.WithinBP(a, b, k)
-		if wd != bd || wok != bok {
-			t.Fatalf("WithinBP(k=%d) = (%d,%v), WithinDP = (%d,%v) (lens %d,%d)",
-				k, bd, bok, wd, wok, len(a), len(b))
-		}
 		if gd, gok := s.Within(a, b, k); gd != wd || gok != wok {
-			t.Fatalf("Within dispatcher(k=%d) = (%d,%v), DP = (%d,%v)", k, gd, gok, wd, wok)
+			t.Fatalf("Within(k=%d) = (%d,%v), WithinDP = (%d,%v) (lens %d,%d)",
+				k, gd, gok, wd, wok, len(a), len(b))
 		}
 	})
 }
 
 // FuzzBandVsDP is the differential fuzzer for the one-word band kernel:
-// WithinBand and the Within dispatcher must return exactly WithinDP's
-// (distance, verdict) in both argument orders. k runs over 0..70, across
-// the 63/64 limit where Within leaves the band kernel, and sequences run to
-// 300 bases, past three words of pattern.
+// Within must return exactly WithinDP's (distance, verdict) in both
+// argument orders. k runs over 0..70, across the 63/64 limit where Within
+// leaves the band kernel, and sequences run to 300 bases, past three words
+// of pattern.
 func FuzzBandVsDP(f *testing.F) {
 	long := bytes.Repeat([]byte("GATTACA"), 30) // 210 bases
 	f.Add([]byte{}, []byte{}, byte(0))
@@ -155,10 +152,6 @@ func FuzzBandVsDP(f *testing.F) {
 		var s Scratch
 		for _, p := range [2][2]dna.Seq{{a, b}, {b, a}} {
 			wd, wok := s.WithinDP(p[0], p[1], k)
-			if gd, gok := s.WithinBand(p[0], p[1], k); gd != wd || gok != wok {
-				t.Fatalf("WithinBand(k=%d) = (%d,%v), DP = (%d,%v) (lens %d,%d)",
-					k, gd, gok, wd, wok, len(p[0]), len(p[1]))
-			}
 			if gd, gok := s.Within(p[0], p[1], k); gd != wd || gok != wok {
 				t.Fatalf("Within(k=%d) = (%d,%v), DP = (%d,%v) (lens %d,%d)",
 					k, gd, gok, wd, wok, len(p[0]), len(p[1]))

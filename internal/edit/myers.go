@@ -6,239 +6,32 @@
 // DNA alphabet the only per-pattern state is a tiny Peq table: one bitmask
 // per base marking the pattern positions holding that base.
 //
-// Four kernels share the recurrence. Three compute whole columns: for
-// patterns of at most 64 bases the column fits in one word (myers64);
-// patterns of 65–128 bases get a fully unrolled two-word specialization
-// whose Peq table and block vectors live in registers and on the stack
-// (myers128); anything longer is split into ⌈m/64⌉ block words with the ±1
-// horizontal delta carried from block to block Hyyrö-style (myersBlocked),
-// the block vectors living in the Scratch so steady-state calls allocate
-// nothing. These track the running bottom-row score D(m,j), and the
-// thresholded form bails as soon as score − (columns remaining) exceeds k,
-// which is sound because the bottom row changes by at most ±1 per column.
+// Two kernels share the recurrence. myersBlocked computes whole columns for
+// a pattern of any length: the column is split into ⌈m/64⌉ block words with
+// the ±1 horizontal delta carried from block to block Hyyrö-style, the block
+// vectors living in the Scratch so steady-state calls allocate nothing. It
+// tracks the running bottom-row score D(m,j), and its thresholded form bails
+// as soon as score − (columns remaining) exceeds k, which is sound because
+// the bottom row changes by at most ±1 per column.
 //
-// The fourth (myersBand) computes only the Ukkonen band of a threshold
-// check: the at most k+1 diagonals an alignment of cost ≤ k can visit, held
-// in one word that slides down one row per text column, for any pattern
-// length. It tracks the score on the goal diagonal, which never decreases,
-// and bails as soon as it exceeds k — at 6 % error on 128-nt reads about
-// half-way through the text for unrelated pairs, where the bottom-row bound
-// waits until three quarters.
+// myersBand computes only the Ukkonen band of a threshold check: the at most
+// k+1 diagonals an alignment of cost ≤ k can visit, held in one word that
+// slides down one row per text column, for any pattern length. It tracks the
+// score on the goal diagonal, which never decreases, and bails as soon as it
+// exceeds k — at 6 % error on 128-nt reads about half-way through the text
+// for unrelated pairs, where the bottom-row bound waits until three quarters.
 //
-// Dispatch (Within): every threshold check with k ≤ 63 runs the band
-// kernel; larger thresholds use the banded DP or the column kernels (see
-// bpWithinProfitable). The DP kernels in edit.go remain the reference
-// implementation; every kernel returns identical distances and verdicts,
-// held to the DP by the parity tests and the FuzzMyersVsDP and FuzzBandVsDP
-// differential fuzzers.
+// Within sends k ≤ 63 to myersBand and larger thresholds to myersBlocked;
+// Levenshtein always runs myersBlocked. The DP kernels in edit.go are the
+// reference implementation: both kernels return identical distances and
+// verdicts, held to the DP by the parity tests and the FuzzMyersVsDP and
+// FuzzBandVsDP differential fuzzers.
 package edit
 
 import "dnastore/internal/dna"
 
 // wordBits is the DP-cells-per-word width of the bit-parallel kernels.
 const wordBits = 64
-
-// bpMinPattern is the pattern length below which the dispatcher keeps the
-// banded DP for Within: at a handful of rows the band is already only a few
-// dozen cells and the Peq/bit bookkeeping has nothing left to amortize.
-const bpMinPattern = 8
-
-// bpWithinProfitable decides Within's kernel: the banded DP touches
-// ~(2k+1)·max(la,lb) cells while the bit-parallel kernel always pays
-// ⌈min/64⌉·max word-steps, so the band must be a few cells per word-step
-// wide before bit-parallelism wins. The verdict and distance are identical
-// either way; only the speed differs.
-func bpWithinProfitable(la, lb, k int) bool {
-	m := la
-	if lb < m {
-		m = lb
-	}
-	if m < bpMinPattern {
-		return false
-	}
-	blocks := (m + wordBits - 1) / wordBits
-	return 2*k+1 >= 3*blocks
-}
-
-// LevenshteinBP is the bit-parallel edit distance: identical to
-// Levenshtein's DP result, at O(⌈min/64⌉·max) word operations.
-func LevenshteinBP(a, b dna.Seq) int {
-	var s Scratch
-	return s.LevenshteinBP(a, b)
-}
-
-// LevenshteinBP is the scratch-reusing form of the package-level
-// LevenshteinBP; results are identical to LevenshteinDP.
-//
-//dnalint:hotpath
-func (s *Scratch) LevenshteinBP(a, b dna.Seq) int {
-	p, t := a, b
-	if len(p) > len(t) {
-		p, t = t, p
-	}
-	if len(p) == 0 {
-		return len(t)
-	}
-	if len(p) <= wordBits {
-		d, _ := myers64(p, t, -1)
-		return d
-	}
-	if len(p) <= 2*wordBits {
-		d, _ := myers128(p, t, -1)
-		return d
-	}
-	d, _ := s.myersBlocked(p, t, -1)
-	return d
-}
-
-// WithinBP reports whether the edit distance between a and b is at most k,
-// returning the distance when it is — the bit-parallel counterpart of
-// Within, with identical results on every input. It tracks the running
-// bottom-row score and stops as soon as the distance provably exceeds k.
-func WithinBP(a, b dna.Seq, k int) (int, bool) {
-	var s Scratch
-	return s.WithinBP(a, b, k)
-}
-
-// WithinBP is the scratch-reusing form of the package-level WithinBP;
-// results are identical to WithinDP.
-//
-//dnalint:hotpath
-func (s *Scratch) WithinBP(a, b dna.Seq, k int) (int, bool) {
-	if k < 0 {
-		return 0, false
-	}
-	la, lb := len(a), len(b)
-	if la-lb > k || lb-la > k {
-		return 0, false
-	}
-	if la == 0 {
-		return lb, lb <= k
-	}
-	if lb == 0 {
-		return la, la <= k
-	}
-	// The distance never exceeds max(la, lb); clamp hostile thresholds the
-	// same way WithinDP does (no bit-parallel state depends on k, but the
-	// clamp keeps the early-exit arithmetic in comfortable integer range).
-	if m := max(la, lb); k > m {
-		k = m
-	}
-	p, t := a, b
-	if len(p) > len(t) {
-		p, t = t, p
-	}
-	if len(p) <= wordBits {
-		return myers64(p, t, k)
-	}
-	if len(p) <= 2*wordBits {
-		return myers128(p, t, k)
-	}
-	return s.myersBlocked(p, t, k)
-}
-
-// myers64 runs the single-word recurrence: pattern length m ≤ 64, text of
-// any length. k < 0 disables the threshold (the distance is always
-// returned with ok=true); k ≥ 0 returns (0, false) as soon as the distance
-// provably exceeds k. The Peq table lives on the stack — no allocation.
-//
-//dnalint:hotpath
-func myers64(pattern, text dna.Seq, k int) (int, bool) {
-	var peq [dna.NumBases]uint64
-	for i, c := range pattern {
-		peq[c&3] |= 1 << uint(i)
-	}
-	m := len(pattern)
-	score := m
-	top := uint(m - 1) // bit of the pattern's last row
-	vp := ^uint64(0)   // column 0: every vertical delta is +1 (D(i,0)=i)
-	vn := uint64(0)
-	n := len(text)
-	for j := 0; j < n; j++ {
-		eq := peq[text[j]&3]
-		// D0 marks rows whose DP cell equals its upper-left neighbour.
-		d0 := (((eq & vp) + vp) ^ vp) | eq | vn
-		hp := vn | ^(d0 | vp)
-		hn := d0 & vp
-		score += int((hp >> top) & 1)
-		score -= int((hn >> top) & 1)
-		// Shift the horizontal deltas down one row; the +1 shifted into HP
-		// is the top boundary D(0,j) − D(0,j−1) = +1 of the global DP.
-		hp = hp<<1 | 1
-		hn = hn << 1
-		vp = hn | ^(d0 | hp)
-		vn = d0 & hp
-		// The bottom row changes by at most ±1 per column, so the final
-		// distance is at least score − (columns remaining).
-		if k >= 0 && score-(n-j-1) > k {
-			return 0, false
-		}
-	}
-	if k >= 0 && score > k {
-		return 0, false
-	}
-	return score, true
-}
-
-// myers128 is the two-word specialization of the blocked recurrence for
-// patterns of 65–128 bases — the band sequencing-length reads live in. It is
-// myersBlocked with blocks fixed at two and the loop unrolled: the Peq table
-// is two stack arrays, the VP/VN block vectors are four register variables,
-// and the inter-block ±1 horizontal carry collapses to two bit pulls (HP and
-// HN are disjoint, so at most one of the carries is set — exactly the
-// hin ∈ {−1, 0, +1} of the general kernel). Threshold semantics and results
-// are identical to myersBlocked; no Scratch, no allocation.
-//
-//dnalint:hotpath
-func myers128(pattern, text dna.Seq, k int) (int, bool) {
-	var peqLo, peqHi [dna.NumBases]uint64
-	for i, c := range pattern {
-		if i < wordBits {
-			peqLo[c&3] |= 1 << uint(i)
-		} else {
-			peqHi[c&3] |= 1 << uint(i-wordBits)
-		}
-	}
-	m := len(pattern)
-	score := m
-	top := uint(m - 1 - wordBits) // last-row bit within the high word
-	vp0, vp1 := ^uint64(0), ^uint64(0)
-	vn0, vn1 := uint64(0), uint64(0)
-	n := len(text)
-	for j := 0; j < n; j++ {
-		c := text[j] & 3
-		// Low word: the top boundary D(0,j) − D(0,j−1) = +1 is constant.
-		eq := peqLo[c]
-		d0 := (((eq & vp0) + vp0) ^ vp0) | eq | vn0
-		hp := vn0 | ^(d0 | vp0)
-		hn := d0 & vp0
-		carryPos := hp >> 63
-		carryNeg := hn >> 63
-		hp = hp<<1 | 1
-		hn = hn << 1
-		vp0 = hn | ^(d0 | hp)
-		vn0 = d0 & hp
-		// High word: carry the boundary delta in, Hyyrö-style. A −1 carried
-		// in lets the first cell take the diagonal, like a matching base.
-		eq = peqHi[c] | carryNeg
-		d0 = (((eq & vp1) + vp1) ^ vp1) | eq | vn1
-		hp = vn1 | ^(d0 | vp1)
-		hn = d0 & vp1
-		score += int((hp >> top) & 1)
-		score -= int((hn >> top) & 1)
-		hp = hp<<1 | carryPos
-		hn = hn<<1 | carryNeg
-		vp1 = hn | ^(d0 | hp)
-		vn1 = d0 & hp
-		if k >= 0 && score-(n-j-1) > k {
-			return 0, false
-		}
-	}
-	if k >= 0 && score > k {
-		return 0, false
-	}
-	return score, true
-}
 
 // blockVectors returns VP/VN block slices of length blocks backed by the
 // scratch, initialized to the column-0 state (all vertical deltas +1).
@@ -275,10 +68,13 @@ func (s *Scratch) peqBlocks(pattern dna.Seq, blocks int) {
 	}
 }
 
-// myersBlocked is the blocked (Hyyrö) variant for patterns longer than one
-// word: the column is split into ⌈m/64⌉ block words and the ±1 horizontal
-// delta at each block boundary is carried into the next block's recurrence.
-// Threshold semantics match myers64. All state lives in the Scratch.
+// myersBlocked runs the blocked (Hyyrö) recurrence for a pattern of any
+// length m ≥ 1 against a text of any length: the column is split into
+// ⌈m/64⌉ block words and the ±1 horizontal delta at each block boundary is
+// carried into the next block's recurrence. k < 0 disables the threshold
+// (the distance is always returned with ok=true); k ≥ 0 returns (0, false)
+// as soon as the distance provably exceeds k. All state lives in the
+// Scratch.
 //
 //dnalint:hotpath
 func (s *Scratch) myersBlocked(pattern, text dna.Seq, k int) (int, bool) {
@@ -387,34 +183,6 @@ func basePlanes(chunk dna.Seq) (lo, hi, valid uint64) {
 	}
 	valid = ^uint64(0) >> uint(wordBits-len(chunk))
 	return lo, hi, valid
-}
-
-// WithinBand is the one-word Ukkonen-band kernel behind Within for k ≤ 63;
-// results are identical to WithinDP on every input. Thresholds whose band
-// does not fit one word go to WithinBP.
-//
-//dnalint:hotpath
-func (s *Scratch) WithinBand(a, b dna.Seq, k int) (int, bool) {
-	if k < 0 {
-		return 0, false
-	}
-	la, lb := len(a), len(b)
-	if la-lb > k || lb-la > k {
-		return 0, false
-	}
-	if la == 0 {
-		return lb, lb <= k
-	}
-	if lb == 0 {
-		return la, la <= k
-	}
-	if k > bandMaxK {
-		return s.WithinBP(a, b, k)
-	}
-	if la > lb {
-		a, b = b, a
-	}
-	return s.myersBand(a, b, k)
 }
 
 // myersBand runs Myers' recurrence over the Ukkonen band only: the k+1 (at

@@ -71,8 +71,8 @@ func MeanAbsDeviation(a, b []float64) float64 {
 // reconstruction. Unlike the positional ErrorProfile — where one early indel
 // shifts every later base into "wrong" — it charges an indel exactly once,
 // so it separates "off by one insertion" from "garbage". Distances come from
-// the package-level dispatcher (bit-parallel for real strand lengths), one
-// Scratch amortized across the whole batch.
+// edit.Scratch.Levenshtein (the bit-parallel column kernel), one Scratch
+// amortized across the whole batch.
 func MeanEditDistance(refs, recons []dna.Seq) float64 {
 	n := len(refs)
 	if len(recons) < n {

@@ -14,12 +14,12 @@
 //     (internal/align), followed by a per-column majority vote, trimming
 //     indel-heavy columns when the alignment exceeds the expected length.
 //
-// A fourth, Adaptive, is a per-cluster dispatcher in the style of
-// edit.Scratch's kernel dispatch: it runs the cheap BMA sweep first and
-// accepts its consensus when a quick agreement check passes (full target
-// length and every read within a small edit radius of the consensus,
-// verified with the thresholded bit-parallel kernel); only disagreeing
-// clusters pay for the O(nodes·m) POA alignment. Its output is always
+// A fourth, Adaptive, is a per-cluster dispatcher: it runs the cheap BMA
+// sweep first and accepts its consensus when a quick agreement check passes
+// (full target length and every read within a small edit radius of the
+// consensus, verified with edit.Scratch.Within, which stops as soon as a
+// read is out of range); only disagreeing clusters pay for the O(nodes·m)
+// POA alignment. Its output is always
 // bit-identical to whichever of BMA or NW it selected — pinned by
 // FuzzReconDispatch.
 //
@@ -366,12 +366,11 @@ func (NW) ReconstructScratch(sc *Scratch, reads []dna.Seq, targetLen int) dna.Se
 }
 
 // Adaptive dispatches per cluster between the BMA sweep and the NW/POA
-// consensus, mirroring how edit.Scratch dispatches between its DP and
-// bit-parallel kernels: run the cheap kernel first, verify, and only pay for
-// the expensive one when verification fails. The BMA consensus is accepted
+// consensus: run the cheap algorithm first, verify, and only pay for the
+// expensive one when verification fails. The BMA consensus is accepted
 // when it reaches the full target length and every non-empty read lies
-// within MaxDist edits of it (checked with the thresholded bit-parallel
-// Within kernel, which bails early on disagreeing reads). Easy low-noise
+// within MaxDist edits of it (checked with edit.Scratch.Within, which bails
+// early on disagreeing reads). Easy low-noise
 // clusters — the overwhelming majority at realistic error rates — never pay
 // the O(nodes·m) graph alignment.
 //

@@ -199,12 +199,13 @@ func MeasureErrorRate(pairs []Pair) float64 {
 	if len(pairs) == 0 {
 		return 0
 	}
+	var s edit.Scratch
 	total := 0.0
 	for _, p := range pairs {
 		if len(p.Clean) == 0 {
 			continue
 		}
-		total += float64(edit.Levenshtein(p.Clean, p.Noisy)) / float64(len(p.Clean))
+		total += float64(s.Levenshtein(p.Clean, p.Noisy)) / float64(len(p.Clean))
 	}
 	return total / float64(len(pairs))
 }
